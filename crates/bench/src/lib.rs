@@ -2,7 +2,8 @@
 //!
 //! One rendering function per table and figure of the paper, consumed by
 //! the `repro` binary (`cargo run -p ucore-bench --bin repro -- --all`)
-//! and timed by the Criterion benches under `benches/`.
+//! and timed, with the real-kernel, sweep and ablation benches, through
+//! the one bench registry in [`snapshot`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

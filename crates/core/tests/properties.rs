@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use ucore_core::{
     amdahl, asymmetric, asymmetric_offload, dynamic, heterogeneous, symmetric,
     BoundSet, Budgets, ChipSpec, EnergyModel, Optimizer, ParallelFraction,
-    PollackLaw, UCore,
+    PollackLaw, SerialPowerLaw, UCore,
 };
 
 fn fraction() -> impl Strategy<Value = ParallelFraction> {
@@ -219,4 +219,54 @@ proptest! {
         .unwrap();
         prop_assert!(chip.speedup(f).unwrap().get() <= ideal.get() + 1e-9);
     }
+}
+
+/// The sensitivity orderings behind the `ablation/*` benches (DESIGN.md
+/// §7), at the bench's design point: the ASIC FFT u-core (µ = 489,
+/// φ = 4.96) at 22 nm budgets (75, 17.5, 59).
+#[test]
+fn ablation_orderings_hold() {
+    let budgets = Budgets::new(75.0, 17.5, 59.0).unwrap();
+    let spec = |alpha: f64, pollack: f64| {
+        ChipSpec::heterogeneous(UCore::new(489.0, 4.96).unwrap())
+            .with_power_law(SerialPowerLaw::new(alpha).unwrap())
+            .with_law(PollackLaw::new(pollack).unwrap())
+    };
+    let speedup = |opt: &Optimizer, spec: &ChipSpec, f: f64| {
+        opt.optimize(spec, &budgets, ParallelFraction::new(f).unwrap())
+            .unwrap()
+            .evaluation
+            .speedup
+            .get()
+    };
+    let paper = Optimizer::paper_default();
+    let base = spec(1.75, 0.5);
+
+    // A hungrier serial core never helps.
+    let (mild, harsh) = (speedup(&paper, &base, 0.9), speedup(&paper, &spec(2.25, 0.5), 0.9));
+    assert!(harsh <= mild, "alpha 2.25 -> {harsh} vs alpha 1.75 -> {mild}");
+
+    // Widening the r sweep (cap 16 -> 64) or refining its grid (step
+    // 1 -> 0.125) only adds candidates.
+    let capped = speedup(&paper, &base, 0.5);
+    let uncapped = speedup(&Optimizer::new(1.0, 64.0, 1.0).unwrap(), &base, 0.5);
+    assert!(uncapped >= capped, "r cap 64 -> {uncapped} vs cap 16 -> {capped}");
+    let coarse = speedup(&Optimizer::new(1.0, 16.0, 1.0).unwrap(), &base, 0.9);
+    let fine = speedup(&Optimizer::new(1.0, 16.0, 0.125).unwrap(), &base, 0.9);
+    assert!(fine >= coarse, "r step 0.125 -> {fine} vs step 1 -> {coarse}");
+
+    // A steeper Pollack law makes every sequential core faster.
+    let pollack: Vec<f64> =
+        [0.4, 0.5, 0.6].iter().map(|&e| speedup(&paper, &spec(1.75, e), 0.9)).collect();
+    assert!(pollack.windows(2).all(|w| w[1] >= w[0]), "pollack 0.4/0.5/0.6 -> {pollack:?}");
+
+    // Sublinear traffic scaling eases the bandwidth wall.
+    let bandwidth: Vec<f64> = [1.0, 0.75, 0.5]
+        .iter()
+        .map(|&e| speedup(&paper, &base.with_bandwidth_exponent(e), 0.99))
+        .collect();
+    assert!(
+        bandwidth.windows(2).all(|w| w[1] >= w[0]),
+        "bandwidth exponent 1.0/0.75/0.5 -> {bandwidth:?}"
+    );
 }

@@ -12,6 +12,8 @@
 //!   `(f, design, node)` grid over scoped worker threads with
 //!   deterministic, submission-ordered results, backed by the
 //!   process-wide memoization cache ([`ucore_core::EvalCache`]);
+//! * [`contain`](mod@contain) — the panic-containment envelope shared by
+//!   sweep points and served requests;
 //! * [`figures`] — ready-made reproductions of Figures 6, 7, 8, 9
 //!   and 10, assembled via the sweep engine;
 //! * [`results`] — serializable result structures for export;
@@ -75,6 +77,7 @@
 // intentional sites carry a local #[allow] with justification.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod contain;
 pub mod crossover;
 pub mod designspace;
 pub mod durability;
@@ -89,6 +92,7 @@ pub mod shard;
 pub mod sweep;
 pub mod uncertainty;
 
+pub use contain::contain;
 pub use crossover::{f_crossover, node_crossover, paper_crossovers, CrossoverRecord};
 pub use designspace::{bandwidth_wall_mu, required_mu, DesignSpaceCell, DesignSpaceMap};
 pub use durability::{

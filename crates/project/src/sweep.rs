@@ -27,7 +27,7 @@
 //!
 //! # Fault containment
 //!
-//! Every point evaluates inside [`std::panic::catch_unwind`]: a panic —
+//! Every point evaluates inside [`contain`](crate::contain()): a panic —
 //! a model bug on a pathological corner of the design space, or a fault
 //! injected by [`faultinject`](crate::faultinject) — degrades that one
 //! point to [`Outcome::Failed`] instead of aborting the sweep. The
@@ -52,18 +52,16 @@
 //! cache hit/miss deltas, and the wall time of the evaluation phase.
 //! The `repro --stats` flag surfaces the global totals after rendering.
 
+use crate::contain::{contain, panic_message};
 use crate::durability::{self, DurabilityContext};
 use crate::engine::{DesignId, ProjectionEngine};
 use crate::faultinject::{self, Fault, FaultPlan};
 use crate::journal::{self, JournalRecord, ReplayLookup};
 use crate::obs;
 use crate::results::NodePoint;
-use std::any::Any;
-use std::cell::Cell;
 use std::ops::Range;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, Once, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use ucore_calibrate::WorkloadColumn;
 use ucore_core::{Budgets, ParallelFraction};
@@ -769,21 +767,18 @@ fn evaluate_contained(
     if let Some(budget) = timeout {
         durability::arm_watchdog(budget);
     }
-    install_quiet_panic_hook();
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(true));
-    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+    let caught = contain(|| {
         if matches!(fault, Some(Fault::Panic)) {
-            // ucore-lint: allow(panic-reachability): deliberate fault injection exercising the containment boundary that catches it two lines down
+            // ucore-lint: allow(panic-reachability): deliberate fault injection exercising the containment boundary that catches it
             panic!("injected panic at point {index}");
         }
         evaluate(engine, point, use_cache)
-    }));
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(false));
+    });
     durability::disarm_watchdog();
     match caught {
         Ok(Some(node_point)) => Outcome::Feasible(node_point),
         Ok(None) => Outcome::Infeasible,
-        Err(payload) => Outcome::Failed { panic_msg: panic_message(payload.as_ref()) },
+        Err(panic_msg) => Outcome::Failed { panic_msg },
     }
 }
 
@@ -829,40 +824,6 @@ fn injected_param_fault(index: usize, bad: f64) -> Outcome {
     Outcome::Failed {
         panic_msg: format!("injected {bad} parameter at point {index}: {rejection}"),
     }
-}
-
-/// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        String::from("non-string panic payload")
-    }
-}
-
-thread_local! {
-    /// Set while a contained evaluation runs on this thread, so the
-    /// process panic hook stays silent for panics we are about to catch.
-    static SUPPRESS_PANIC_OUTPUT: Cell<bool> = const { Cell::new(false) };
-}
-
-static QUIET_HOOK: Once = Once::new();
-
-/// Installs (once) a panic hook that swallows output for panics raised
-/// inside a contained evaluation and delegates everything else to the
-/// previous hook — contained faults are reported through [`Outcome`],
-/// not stderr noise.
-fn install_quiet_panic_hook() {
-    QUIET_HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !SUPPRESS_PANIC_OUTPUT.with(|s| s.get()) {
-                previous(info);
-            }
-        }));
-    });
 }
 
 fn evaluate(
@@ -1066,15 +1027,5 @@ mod tests {
         let started = Instant::now();
         assert!(signal.wait_finished(Duration::from_secs(3600)));
         assert!(started.elapsed() < Duration::from_secs(30));
-    }
-
-    #[test]
-    fn panic_message_extracts_both_payload_shapes() {
-        let s: Box<dyn Any + Send> = Box::new("static str payload");
-        assert_eq!(panic_message(s.as_ref()), "static str payload");
-        let owned: Box<dyn Any + Send> = Box::new(String::from("owned payload"));
-        assert_eq!(panic_message(owned.as_ref()), "owned payload");
-        let other: Box<dyn Any + Send> = Box::new(42u32);
-        assert_eq!(panic_message(other.as_ref()), "non-string panic payload");
     }
 }

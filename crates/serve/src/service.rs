@@ -13,9 +13,6 @@
 
 use crate::error::ServeError;
 use crate::http::Request;
-use std::cell::Cell;
-use std::panic::AssertUnwindSafe;
-use std::sync::Once;
 use std::time::Duration;
 use ucore_bench::Target;
 
@@ -175,11 +172,7 @@ fn content_type(target: &Target) -> &'static str {
 /// deadline armed, panics caught, partial data suppressed.
 fn render_contained(target: &Target, request_timeout: Option<Duration>) -> Response {
     let _guard = request_timeout.map(ucore_project::arm_request_deadline);
-    install_quiet_panic_hook();
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(true));
-    let caught =
-        std::panic::catch_unwind(AssertUnwindSafe(|| ucore_bench::render::render(target)));
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(false));
+    let caught = ucore_project::contain(|| ucore_bench::render::render(target));
     // Deadline first: an expired budget explains both a deadline panic
     // that escaped and a sweep whose tail points all failed at their
     // first cooperative checkpoint.
@@ -189,11 +182,10 @@ fn render_contained(target: &Target, request_timeout: Option<Duration>) -> Respo
         return Response::from_error(&ServeError::deadline(budget_ms));
     }
     match caught {
-        Err(payload) => {
+        Err(panic_msg) => {
             crate::obs::metrics().panics.inc();
             Response::from_error(&ServeError::failed(format!(
-                "handler panic (contained): {}",
-                panic_message(payload.as_ref())
+                "handler panic (contained): {panic_msg}"
             )))
         }
         Ok(Err(e)) if e.is_bad_target() => {
@@ -209,41 +201,6 @@ fn render_contained(target: &Target, request_timeout: Option<Duration>) -> Respo
             }
             _ => Response::ok(content_type(target), rendered.body.into_bytes()),
         },
-    }
-}
-
-thread_local! {
-    /// Set while a contained render runs on this thread, so the process
-    /// panic hook stays silent for panics the envelope is about to
-    /// catch.
-    static SUPPRESS_PANIC_OUTPUT: Cell<bool> = const { Cell::new(false) };
-}
-
-static QUIET_HOOK: Once = Once::new();
-
-/// Installs (once) a panic hook that swallows output for panics raised
-/// inside the containment envelope and delegates everything else to the
-/// previous hook — contained faults are reported through the error
-/// taxonomy, not stderr noise.
-fn install_quiet_panic_hook() {
-    QUIET_HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !SUPPRESS_PANIC_OUTPUT.with(|s| s.get()) {
-                previous(info);
-            }
-        }));
-    });
-}
-
-/// Best-effort text of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
