@@ -39,7 +39,7 @@
 //! and writes the binary trace, and `--profile` reduces that trace to a
 //! per-phase self/total table on stderr. None of the three perturbs
 //! stdout: the rendered figure bytes are identical with and without
-//! them, at any thread count.
+//! them.
 //!
 //! Runs shard across *processes* on request: `--shards N --journal
 //! PATH` spawns N worker copies of `repro` (each running with `--shard
@@ -643,7 +643,7 @@ fn target_bytes(target: &ucore_bench::Target) -> Result<String, Box<dyn std::err
 }
 
 /// Renders `--stats` from one coherent [`MetricsSnapshot`], taken after
-/// every sweep worker has joined. The old implementation read each
+/// every sweep has finished. The old implementation read each
 /// atomic counter independently (and some twice), so the cache line and
 /// the points line could disagree mid-run; a single snapshot cannot.
 fn print_stats(snapshot: &MetricsSnapshot, total: Duration) {
@@ -895,8 +895,8 @@ fn main() -> ExitCode {
         .then(|| ucore_obs::trace::start(ucore_obs::trace::DEFAULT_CAPACITY));
     let start = Instant::now();
     let outcome = run(&cli.command, cli.out.as_deref());
-    // One coherent registry snapshot after all sweep workers have
-    // joined; every consumer below (stats, metrics file, failure
+    // One coherent registry snapshot after every sweep has finished;
+    // every consumer below (stats, metrics file, failure
     // policing) reads this snapshot, never the live counters.
     let snapshot = ucore_obs::registry().snapshot();
     if cli.stats {

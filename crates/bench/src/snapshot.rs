@@ -422,8 +422,8 @@ fn kernel_benches(visit: &mut Visitor<'_>) -> Result<(), SnapshotError> {
 }
 
 /// The `sweep` topic: one Figure 6-sized batch (4 parallel fractions ×
-/// 6 designs × 5 nodes) evaluated sequentially, in parallel, and
-/// against a pre-warmed cache, plus the optimizer and portfolio
+/// 6 designs × 5 nodes) evaluated uncached and against a pre-warmed
+/// cache, plus the optimizer and portfolio
 /// allocator search strategies head to head.
 fn sweep_benches(visit: &mut Visitor<'_>) -> Result<(), SnapshotError> {
     // A private cache isolates the benches from the process-global one.
@@ -437,15 +437,11 @@ fn sweep_benches(visit: &mut Visitor<'_>) -> Result<(), SnapshotError> {
         figure_points(&engine, &designs, WorkloadColumn::Fft1024, &[0.5, 0.9, 0.99, 0.999]),
     )?;
 
-    let sequential = SweepConfig { threads: Some(1), use_cache: false };
+    let uncached = SweepConfig { use_cache: false };
     visit("sweep/sequential", &mut || {
-        black_box(sweep(&engine, points.clone(), &sequential));
+        black_box(sweep(&engine, points.clone(), &uncached));
     });
-    let parallel_cfg = SweepConfig { threads: None, use_cache: false };
-    visit("sweep/parallel", &mut || {
-        black_box(sweep(&engine, points.clone(), &parallel_cfg));
-    });
-    let cached = SweepConfig { threads: None, use_cache: true };
+    let cached = SweepConfig::default();
     // Warm the memo table so the measured iterations hit it.
     sweep(&engine, points.clone(), &cached);
     visit("sweep/cached", &mut || {
@@ -829,7 +825,7 @@ mod tests {
             }
             all.extend(ids);
         }
-        assert_eq!(all.len(), 47, "{all:?}");
+        assert_eq!(all.len(), 46, "{all:?}");
         let unique: std::collections::HashSet<&String> = all.iter().collect();
         assert_eq!(unique.len(), all.len(), "duplicate bench ids: {all:?}");
     }

@@ -49,9 +49,8 @@ const KERNEL_IDS: [&str; 14] = [
     "kernels/black_scholes/parallel4",
 ];
 
-const SWEEP_IDS: [&str; 7] = [
+const SWEEP_IDS: [&str; 6] = [
     "sweep/sequential",
-    "sweep/parallel",
     "sweep/cached",
     "optimize/exhaustive",
     "optimize/pruned",

@@ -272,33 +272,20 @@ fn killed_run_resumes_to_byte_identical_output() {
     assert!(records > 0, "completed points were journaled before the abort");
     assert!(records < 120, "the run died before finishing");
 
-    // Resume — at several thread counts — must reproduce the baseline
-    // exactly and re-evaluate only the missing points. Each iteration
-    // resumes from its own copy of the truncated journal: resuming
-    // completes the journal in place, so reusing it would replay all
-    // 120 points on the second pass.
-    for threads in ["1", "2", "4", "8"] {
-        let copy = scratch(&format!("kill-t{threads}.jsonl"));
-        std::fs::copy(journal, &copy).unwrap();
-        let resumed = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["--journal", copy.to_str().unwrap(), "--resume"])
-            .args(["--stats", "--json", "figure-6"])
-            .env("UCORE_SWEEP_THREADS", threads)
-            .output()
-            .expect("repro binary runs");
-        let _ = std::fs::remove_file(&copy);
-        assert!(resumed.status.success(), "threads = {threads}");
-        assert_eq!(
-            resumed.stdout, baseline.stdout,
-            "resumed output must be byte-identical (threads = {threads})"
-        );
-        let err = String::from_utf8(resumed.stderr).unwrap();
-        assert!(err.contains(&format!("resume: replayed {records} journaled")), "{err}");
-        assert!(
-            err.contains(&format!("durability: {records} journal hits")),
-            "only missing points re-evaluate (threads = {threads}): {err}"
-        );
-    }
+    // Resume must reproduce the baseline exactly and re-evaluate only
+    // the missing points.
+    let resumed = repro(&["--journal", journal, "--resume", "--stats", "--json", "figure-6"]);
+    assert!(resumed.status.success());
+    assert_eq!(
+        resumed.stdout, baseline.stdout,
+        "resumed output must be byte-identical"
+    );
+    let err = String::from_utf8(resumed.stderr).unwrap();
+    assert!(err.contains(&format!("resume: replayed {records} journaled")), "{err}");
+    assert!(
+        err.contains(&format!("durability: {records} journal hits")),
+        "only missing points re-evaluate: {err}"
+    );
     let _ = std::fs::remove_file(journal);
 }
 

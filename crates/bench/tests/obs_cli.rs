@@ -2,10 +2,9 @@
 //! `--trace`, `--profile`, and the snapshot-backed `--stats`.
 //!
 //! The contract (DESIGN.md §14): observability never perturbs stdout —
-//! figure bytes are identical with and without every obs flag, at any
-//! thread count — and everything the run *reports* about itself comes
-//! from one coherent registry snapshot taken after the sweep workers
-//! joined. Wall-clock metrics (`is_timing_metric` names) are excluded
+//! figure bytes are identical with and without every obs flag — and
+//! everything the run *reports* about itself comes from one coherent
+//! registry snapshot taken after the sweeps finished. Wall-clock metrics (`is_timing_metric` names) are excluded
 //! from golden comparisons; everything else in the Prometheus
 //! exposition is data-derived and byte-stable.
 
@@ -15,14 +14,6 @@ use ucore_obs::SpanKind;
 fn repro(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
-        .output()
-        .expect("repro binary runs")
-}
-
-fn repro_threads(args: &[&str], threads: &str) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .env("UCORE_SWEEP_THREADS", threads)
         .output()
         .expect("repro binary runs")
 }
@@ -70,28 +61,23 @@ fn strip_timing_families(exposition: &str) -> String {
 // ---------------------------------------------------------------------
 
 #[test]
-fn obs_flags_do_not_perturb_figure_output_at_any_thread_count() {
-    for threads in ["1", "2", "4", "8"] {
-        let plain = repro_threads(&["--json", "figure-6"], threads);
-        let metrics_path = scratch(&format!("perturb-m-{threads}.txt"));
-        let trace_path = scratch(&format!("perturb-t-{threads}.bin"));
-        let observed = repro_threads(
-            &[
-                "--json", "figure-6",
-                "--metrics", metrics_path.to_str().unwrap(),
-                "--trace", trace_path.to_str().unwrap(),
-                "--profile",
-            ],
-            threads,
-        );
-        assert!(plain.status.success() && observed.status.success(), "{threads}");
-        assert_eq!(
-            plain.stdout, observed.stdout,
-            "figure-6 stdout must be byte-identical with obs armed ({threads} threads)"
-        );
-        let _ = std::fs::remove_file(&metrics_path);
-        let _ = std::fs::remove_file(&trace_path);
-    }
+fn obs_flags_do_not_perturb_figure_output() {
+    let plain = repro(&["--json", "figure-6"]);
+    let metrics_path = scratch("perturb-m.txt");
+    let trace_path = scratch("perturb-t.bin");
+    let observed = repro(&[
+        "--json", "figure-6",
+        "--metrics", metrics_path.to_str().unwrap(),
+        "--trace", trace_path.to_str().unwrap(),
+        "--profile",
+    ]);
+    assert!(plain.status.success() && observed.status.success());
+    assert_eq!(
+        plain.stdout, observed.stdout,
+        "figure-6 stdout must be byte-identical with obs armed"
+    );
+    let _ = std::fs::remove_file(&metrics_path);
+    let _ = std::fs::remove_file(&trace_path);
 }
 
 // ---------------------------------------------------------------------
@@ -171,27 +157,43 @@ ucore_shard_workers_stalled 0
 ucore_sweep_batches 1
 ";
 
+/// The value of one unlabeled sample line in a Prometheus exposition.
+fn sample(exposition: &str, family: &str) -> Option<u64> {
+    exposition.lines().find_map(|line| {
+        let (name, value) = line.split_once(' ')?;
+        if name == family { value.parse().ok() } else { None }
+    })
+}
+
 #[test]
-fn metrics_exposition_matches_golden_and_is_thread_invariant() {
-    let mut expositions = Vec::new();
-    for threads in ["1", "4"] {
-        let path = scratch(&format!("golden-m-{threads}.txt"));
-        let out = repro_threads(
-            &["--json", "figure-6", "--metrics", path.to_str().unwrap()],
-            threads,
-        );
-        assert!(out.status.success(), "{threads}");
-        let exposition = std::fs::read_to_string(&path).expect("metrics file written");
-        let _ = std::fs::remove_file(&path);
-        // The unfiltered file carries the timing histogram too.
-        assert!(
-            exposition.contains("ucore_sweep_point_us_count 120"),
-            "timing histogram present in the raw exposition:\n{exposition}"
-        );
-        expositions.push(strip_timing_families(&exposition));
-    }
-    assert_eq!(expositions[0], expositions[1], "thread-invariant exposition");
-    assert_eq!(expositions[0], FIGURE6_METRICS_GOLDEN);
+fn metrics_exposition_matches_golden() {
+    let path = scratch("golden-m.txt");
+    let out = repro(&["--json", "figure-6", "--metrics", path.to_str().unwrap()]);
+    assert!(out.status.success());
+    let exposition = std::fs::read_to_string(&path).expect("metrics file written");
+    let _ = std::fs::remove_file(&path);
+    // The unfiltered file carries the timing histogram too.
+    assert!(
+        exposition.contains("ucore_sweep_point_us_count 120"),
+        "timing histogram present in the raw exposition:\n{exposition}"
+    );
+    assert_eq!(strip_timing_families(&exposition), FIGURE6_METRICS_GOLDEN);
+
+    // Journaled, every fsync counts: one per `SYNC_BATCH` (16) of the
+    // 120 appends, plus the sweep-final one.
+    let journal = scratch("golden-j.jsonl");
+    let out = repro(&[
+        "--journal", journal.to_str().unwrap(),
+        "--json", "figure-6",
+        "--metrics", path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let exposition = std::fs::read_to_string(&path).expect("metrics file written");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&journal);
+    assert_eq!(sample(&exposition, "ucore_journal_appends"), Some(120), "{exposition}");
+    let syncs = sample(&exposition, "ucore_journal_syncs").expect("syncs sample");
+    assert!(syncs >= 8, "7 batch fsyncs + 1 sweep-final fsync, got {syncs}");
 }
 
 /// Prints the golden above from the current build. Run with
@@ -214,10 +216,7 @@ fn dump_goldens() {
 #[test]
 fn trace_file_decodes_with_the_expected_schema() {
     let path = scratch("schema-t.bin");
-    let out = repro_threads(
-        &["--json", "figure-6", "--trace", path.to_str().unwrap()],
-        "1",
-    );
+    let out = repro(&["--json", "figure-6", "--trace", path.to_str().unwrap()]);
     assert!(out.status.success());
     let bytes = std::fs::read(&path).expect("trace file written");
     let _ = std::fs::remove_file(&path);
@@ -239,10 +238,16 @@ fn trace_file_decodes_with_the_expected_schema() {
     let enters = trace.events.iter().filter(|e| e.kind == SpanKind::Enter).count();
     let exits = trace.events.iter().filter(|e| e.kind == SpanKind::Exit).count();
     assert_eq!(enters, exits);
-    // Single-threaded, the freeze order is the record order: ticks are
+    // The sweep records every span on its caller's thread.
+    let thread = trace.events[0].thread;
+    assert!(
+        trace.events.iter().all(|e| e.thread == thread),
+        "every span of the sweep is recorded on one thread"
+    );
+    // On one thread the freeze order is the record order: ticks are
     // strictly increasing and the first/last events bracket the sweep.
     for pair in trace.events.windows(2) {
-        assert!(pair[0].tick < pair[1].tick, "ticks strictly increase at 1 thread");
+        assert!(pair[0].tick < pair[1].tick, "ticks strictly increase on one thread");
     }
     assert_eq!(trace.name(trace.events[0].name), "project.sweep");
     assert_eq!(trace.events[0].kind, SpanKind::Enter);

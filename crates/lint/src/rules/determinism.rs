@@ -1,8 +1,9 @@
 //! `determinism`: no wall-clock reads or hash-ordered containers in
 //! output-producing paths.
 //!
-//! The sweep/figure pipeline guarantees byte-identical output at any
-//! thread count (DESIGN.md §10) and across crash/resume (§12). Two
+//! The sweep/figure pipeline guarantees byte-identical output across
+//! cache states and shard counts (DESIGN.md §10) and across
+//! crash/resume (§12). Two
 //! things silently break that guarantee: reading the wall clock
 //! (`Instant::now` / `SystemTime::now`) into anything that reaches the
 //! output, and iterating a `HashMap`/`HashSet` (random per-process seed

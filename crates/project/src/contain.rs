@@ -46,7 +46,7 @@ pub fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 }
 
 /// Best-effort text of a panic payload.
-pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -22,7 +22,7 @@
 //! * **Retry** — failed points are retried up to a bounded number of
 //!   attempts with exponential backoff and *deterministic* jitter
 //!   ([`backoff_delay`], keyed on submission index and attempt, no
-//!   RNG), so retry behavior is identical at any thread count.
+//!   RNG), so retry behavior is identical on every run.
 //!
 //! All of this is off by default: with no active configuration a sweep
 //! behaves exactly as before this module existed.
@@ -190,7 +190,6 @@ impl DurabilityContext {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .sync();
-            crate::obs::metrics().journal_syncs.inc();
         }
     }
 }
@@ -353,8 +352,7 @@ pub const BACKOFF_CAP_MS: u64 = 64;
 /// (`BACKOFF_BASE_MS << attempt`, capped at [`BACKOFF_CAP_MS`]) with
 /// jitter in the upper half of the window. The jitter is *derived*, not
 /// random — an FNV-1a hash of `(index, attempt)` — so the exact same
-/// point retries after the exact same delay at any thread count, on any
-/// run.
+/// point retries after the exact same delay on any run.
 pub fn backoff_delay(index: usize, attempt: u32) -> Duration {
     let raw = BACKOFF_BASE_MS
         .checked_shl(attempt.min(16))
@@ -467,9 +465,8 @@ impl Drop for RequestDeadlineGuard {
 /// a deterministic `request deadline exceeded` message once `budget`
 /// has elapsed — inside a sweep that panic is contained per point, so
 /// an over-budget request degrades to fast `Failed` outcomes instead of
-/// hanging. The deadline is thread-local: a serving worker that runs
-/// its sweeps on the same thread (`UCORE_SWEEP_THREADS=1`) covers the
-/// whole request.
+/// hanging. The deadline is thread-local, and a sweep runs on its
+/// caller's thread, so one armed deadline covers the whole request.
 #[must_use]
 pub fn arm_request_deadline(budget: Duration) -> RequestDeadlineGuard {
     let previous =

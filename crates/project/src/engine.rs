@@ -245,7 +245,7 @@ impl ProjectionEngine {
     ) -> Option<NodePoint> {
         // Cooperative watchdog: under a `--timeout-ms` deadline, a point
         // that overstays its budget is cancelled here (as a contained
-        // panic) instead of hanging its sweep worker. A no-op when no
+        // panic) instead of hanging its sweep. A no-op when no
         // deadline is armed on this thread.
         crate::durability::watchdog_checkpoint();
         let optimizer = self.optimizer();

@@ -1,10 +1,10 @@
 //! Ready-made reproductions of the paper's projection figures.
 //!
-//! Figures are assembled by fanning their `(f, design, node)` grid over
-//! the parallel [`sweep`](crate::sweep) engine. The sweep returns
+//! Figures are assembled by running their `(f, design, node)` grid
+//! through the [`sweep`](mod@crate::sweep) engine. The sweep returns
 //! results in submission order and each point is memoized in the
 //! process-wide evaluation cache, so figure output is deterministic
-//! (bit-identical to a sequential build) and points shared between
+//! and points shared between
 //! figures — e.g. the baseline FFT grid appearing in both Figure 6 and
 //! the scenario studies — are optimized only once per process.
 

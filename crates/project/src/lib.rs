@@ -8,10 +8,10 @@
 //!   alternatives (bandwidth, area, power, serial-power variations);
 //! * [`engine`] — the projection engine: budgets per node, optimal
 //!   sequential-core sizing, limiting-constraint classification;
-//! * [`sweep`] — the parallel sweep engine: fans a figure's
-//!   `(f, design, node)` grid over scoped worker threads with
-//!   deterministic, submission-ordered results, backed by the
-//!   process-wide memoization cache ([`ucore_core::EvalCache`]);
+//! * [`sweep`](mod@sweep) — the sweep engine: resolves a figure's
+//!   `(f, design, node)` grid in submission order on the caller's
+//!   thread, backed by the process-wide memoization cache
+//!   ([`ucore_core::EvalCache`]);
 //! * [`contain`](mod@contain) — the panic-containment envelope shared by
 //!   sweep points and served requests;
 //! * [`figures`] — ready-made reproductions of Figures 6, 7, 8, 9
@@ -32,34 +32,32 @@
 //! and an interrupted run can be resumed: replayed points are not
 //! re-evaluated, and because the journal stores exact `f64` bit
 //! patterns and retry counts, the resumed run's figure JSON is
-//! **byte-identical** to an uninterrupted run at any thread count. A
+//! **byte-identical** to an uninterrupted run. A
 //! per-point watchdog deadline converts stuck evaluations into
 //! contained `Failed{timeout}` outcomes, and failed points retry with
 //! exponential backoff and deterministic jitter.
 //!
 //! ## Sharded execution
 //!
-//! A sweep shards across *processes* the same way it fans across
-//! threads: [`ShardSpec::lease`] assigns worker `i` of `n` a contiguous
-//! index range of every sweep, each worker journals only its lease, and
-//! [`merge_journals`] folds the shard journals into one index-sorted
-//! journal whose replay reproduces the single-process figure bytes
-//! exactly. [`orchestrate`] runs the whole fleet: it spawns the
+//! A sweep runs on its caller's thread; parallelism comes from sharding
+//! it across *processes*: [`ShardSpec::lease`] assigns worker `i` of `n`
+//! a contiguous index range of every sweep, each worker journals only
+//! its lease, and [`merge_journals`] folds the shard journals into one
+//! index-sorted journal whose replay reproduces the single-process
+//! figure bytes exactly. [`orchestrate`] runs the whole fleet: it spawns the
 //! workers, watches journal-growth heartbeats, reassigns a crashed or
 //! stalled worker's lease with bounded deterministic backoff, and
 //! degrades gracefully — an abandoned lease's points are simply evaluated
 //! in-process from the merged journal's gaps.
 //!
-//! ## Parallelism, caching and determinism
+//! ## Caching and determinism
 //!
 //! Design-point evaluation is a pure function of `(optimizer, spec,
 //! budgets, f)`, so the engine memoizes every outcome — feasible or
 //! infeasible — in a process-wide table keyed on the canonicalized bit
-//! patterns of all inputs. Figures fan their grids over worker threads
-//! (thread count = available parallelism, overridable via
-//! [`SweepConfig`] or the `UCORE_SWEEP_THREADS` environment variable)
-//! and restore submission order before assembly, so rendered and
-//! exported output is bit-identical across thread counts, cache states,
+//! patterns of all inputs. Figures resolve their grids in submission
+//! order on the caller's thread (see [`sweep`](mod@sweep)), so rendered and
+//! exported output is bit-identical across cache states, shard counts
 //! and repeated runs.
 //!
 //! ```

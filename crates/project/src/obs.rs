@@ -17,7 +17,7 @@
 //! | `journal.hits`      | counter   | points answered from a replayed journal    |
 //! | `journal.stale`     | counter   | journaled records with a stale fingerprint |
 //! | `journal.appends`   | counter   | records appended to the run journal        |
-//! | `journal.syncs`     | counter   | journal fsyncs                             |
+//! | `journal.syncs`     | counter   | successful journal fsyncs (every `SYNC_BATCH` appends, each sweep's end, shutdown) |
 //! | `journal.write_errors` | counter | append failures (journaling degraded)     |
 //! | `failures.retained` | counter   | diagnostics kept in the bounded log        |
 //! | `failures.dropped`  | counter   | diagnostics dropped beyond the cap         |
@@ -36,7 +36,7 @@
 //! and the `cache.entries` gauge for the global evaluation cache.)
 //!
 //! Everything except `sweep.point_us` is derived from run *data*, so
-//! the values are identical at any thread count; `sweep.point_us` is
+//! the values are identical on every run; `sweep.point_us` is
 //! wall-clock timing and is excluded from golden comparisons by the
 //! [`ucore_obs::is_timing_metric`] naming convention.
 

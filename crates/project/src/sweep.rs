@@ -1,29 +1,19 @@
-//! The parallel design-space sweep engine.
+//! The design-space sweep engine.
 //!
-//! A projection figure is a large batch of independent design-point
+//! A projection figure is a batch of independent design-point
 //! evaluations: every `(design, node, f)` cell of every panel runs the
-//! same pure `r` sweep under its own budgets. This module fans such a
-//! batch over scoped worker threads while keeping the output
-//! **deterministic**: results are returned in the exact order the
-//! [`SweepPoint`]s were submitted, and each point's value is computed by
-//! the same code path the sequential engine uses, so a parallel sweep is
-//! bit-identical to a sequential one regardless of thread count or
-//! scheduling.
+//! same pure `r` sweep under its own budgets. Each point is a
+//! closed-form evaluation of a few microseconds, so a sweep resolves its
+//! points in submission order on the caller's thread; process-level
+//! parallelism is `repro --shards N` ([`crate::shard`]).
 //!
 //! # Determinism
 //!
-//! Two properties make this safe to parallelize:
-//!
-//! 1. **Purity** — evaluating a point reads only the point itself and
-//!    the engine's immutable scenario/Table 5 state. The shared
-//!    [`EvalCache`](ucore_core::EvalCache) memoizes `Result`s of a pure
-//!    function keyed on every input, so a cache hit returns exactly what
-//!    the evaluation would have computed.
-//! 2. **Order restoration** — workers pull indices from an atomic
-//!    counter and tag each outcome with its index; the engine merges the
-//!    tagged outcomes back into submission slots before returning.
-//!    Thread interleaving affects wall time only, never the result
-//!    vector.
+//! Evaluating a point reads only the point itself and the engine's
+//! immutable scenario/Table 5 state. The shared
+//! [`EvalCache`](ucore_core::EvalCache) memoizes `Result`s of a pure
+//! function keyed on every input, so a cache hit returns exactly what
+//! the evaluation would have computed.
 //!
 //! # Fault containment
 //!
@@ -35,8 +25,7 @@
 //!
 //! * a fault at point *k* produces exactly one `Failed` outcome, at
 //!   index *k*;
-//! * every other outcome is bit-identical to an uninjected run, at any
-//!   thread count;
+//! * every other outcome is bit-identical to an uninjected run;
 //! * the shared memoization cache is never polluted by a failed point
 //!   (a contained panic happens *before* the cache insert; an injected
 //!   cache error bypasses the cache entirely).
@@ -48,11 +37,12 @@
 //! # Observability
 //!
 //! Every sweep returns [`SweepStats`] alongside its results: points
-//! evaluated, outcome counts (ok / infeasible / failed), threads used,
-//! cache hit/miss deltas, and the wall time of the evaluation phase.
+//! evaluated, outcome counts (ok / infeasible / failed), threads used
+//! (always 1), cache hit/miss deltas, and the wall time of the
+//! evaluation phase.
 //! The `repro --stats` flag surfaces the global totals after rendering.
 
-use crate::contain::{contain, panic_message};
+use crate::contain::contain;
 use crate::durability::{self, DurabilityContext};
 use crate::engine::{DesignId, ProjectionEngine};
 use crate::faultinject::{self, Fault, FaultPlan};
@@ -60,8 +50,7 @@ use crate::journal::{self, JournalRecord, ReplayLookup};
 use crate::obs;
 use crate::results::NodePoint;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use ucore_calibrate::WorkloadColumn;
 use ucore_core::{Budgets, ParallelFraction};
@@ -143,11 +132,6 @@ pub struct SweepResult {
 /// How a sweep runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepConfig {
-    /// Worker thread count. `None` means the available parallelism of
-    /// the machine (or the `UCORE_SWEEP_THREADS` environment variable
-    /// when set). `Some(1)` runs fully sequentially on the caller's
-    /// thread.
-    pub threads: Option<usize>,
     /// Whether evaluations go through the engine's memoization cache.
     /// Disable for benchmarking the uncached path; results are identical
     /// either way.
@@ -156,31 +140,8 @@ pub struct SweepConfig {
 
 impl Default for SweepConfig {
     fn default() -> Self {
-        SweepConfig { threads: None, use_cache: true }
+        SweepConfig { use_cache: true }
     }
-}
-
-impl SweepConfig {
-    /// A sequential, cache-enabled configuration.
-    pub fn sequential() -> Self {
-        SweepConfig { threads: Some(1), use_cache: true }
-    }
-
-    /// The effective worker count for a batch of `jobs` points.
-    fn effective_threads(&self, jobs: usize) -> usize {
-        let requested = self.threads.or_else(env_thread_override).unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        });
-        requested.max(1).min(jobs.max(1))
-    }
-}
-
-fn env_thread_override() -> Option<usize> {
-    std::env::var("UCORE_SWEEP_THREADS")
-        .ok()?
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
 }
 
 /// Counters from one sweep run.
@@ -200,7 +161,7 @@ pub struct SweepStats {
     /// is active; skipped points are excluded from
     /// `points_infeasible`.
     pub points_skipped: usize,
-    /// Worker threads used.
+    /// Threads the sweep ran on: always 1, the caller's.
     pub threads: usize,
     /// Cache hits during this sweep.
     pub cache_hits: u64,
@@ -293,12 +254,10 @@ pub fn failure_diagnostics() -> Vec<FailureDiagnostic> {
         .clone()
 }
 
-/// Evaluates a batch of points, fanning over worker threads.
+/// Evaluates a batch of points, in order, on the calling thread.
 ///
 /// Results come back in submission order with their indices, so callers
-/// can reassemble figures deterministically. With `config.threads ==
-/// Some(1)` the batch runs on the calling thread; the produced results
-/// are identical in either mode.
+/// can reassemble figures deterministically.
 ///
 /// Evaluation is fault-contained: a panicking point (or one poisoned by
 /// the active [`faultinject`] plan) yields [`Outcome::Failed`] for that
@@ -308,7 +267,6 @@ pub fn sweep(
     points: Vec<SweepPoint>,
     config: &SweepConfig,
 ) -> (Vec<SweepResult>, SweepStats) {
-    let threads = config.effective_threads(points.len());
     let plan = faultinject::current_plan();
     let plan = plan.as_deref();
     let dur = durability::current();
@@ -326,19 +284,11 @@ pub fn sweep(
     // ucore-lint: allow(determinism): wall-clock feeds only the SweepStats elapsed field, which is observability metadata excluded from output bytes
     let start = Instant::now();
 
-    let resolutions: Vec<PointResolution> = if threads <= 1 || points.len() <= 1 {
-        points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                resolve_point(engine, p, i, config.use_cache, plan, dur, sweep_seq, lease)
-            })
-            .collect()
-    } else {
-        parallel_resolutions(
-            engine, &points, threads, config.use_cache, plan, dur, sweep_seq, lease,
-        )
-    };
+    let resolutions: Vec<PointResolution> = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| resolve_point(engine, p, i, config.use_cache, plan, dur, sweep_seq, lease))
+        .collect();
     // One batch-final fsync bounds journal loss to the in-flight tail.
     if let Some(d) = dur {
         d.sync();
@@ -387,7 +337,7 @@ pub fn sweep(
         points_infeasible,
         points_failed,
         points_skipped,
-        threads,
+        threads: 1,
         cache_hits: cache_after.hits - cache_before.hits,
         cache_misses: cache_after.misses - cache_before.misses,
         journal_hits,
@@ -408,27 +358,33 @@ pub fn sweep(
     (results, stats)
 }
 
-/// Every completed sweep of the process, in completion order — the
-/// "wall time per phase" log behind `repro --stats`.
+/// Retention cap for the phase log: far above the 14 sweeps of
+/// `repro --all`, bounded so a long-running server that never drains
+/// the log cannot grow with every request.
+const MAX_RETAINED_PHASES: usize = 256;
+
+/// The completed sweeps of the process, in completion order (the first
+/// [`MAX_RETAINED_PHASES`] since the last drain) — the "wall time per
+/// phase" log behind `repro --stats`.
 static PHASE_LOG: Mutex<Vec<SweepStats>> = Mutex::new(Vec::new());
 
 fn record_phase(stats: SweepStats) {
-    PHASE_LOG
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .push(stats);
+    let mut log = PHASE_LOG.lock().unwrap_or_else(PoisonError::into_inner);
+    if log.len() < MAX_RETAINED_PHASES {
+        log.push(stats);
+    }
 }
 
 /// Drains and returns the per-sweep phase log accumulated so far.
 pub fn drain_phase_log() -> Vec<SweepStats> {
     std::mem::take(
-        &mut *PHASE_LOG.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
+        &mut *PHASE_LOG.lock().unwrap_or_else(PoisonError::into_inner),
     )
 }
 
 /// How one point was resolved: the outcome, plus the durability
 /// accounting the sweep folds into its stats.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PointResolution {
     outcome: Outcome,
     /// Retry attempts consumed (journaled value when replayed).
@@ -534,192 +490,6 @@ fn resolve_point(
         }
     }
     PointResolution { outcome, retries: attempt, replayed: false, skipped: false }
-}
-
-/// How often the stall detector samples worker heartbeats, and how far
-/// past the deadline a point must run before it is reported (the grace
-/// leaves room for the cooperative checkpoint to fire first).
-const STALL_DETECTOR_PERIOD: Duration = Duration::from_millis(10);
-const STALL_DETECTOR_GRACE: Duration = Duration::from_millis(250);
-
-/// Work-queue fan-out: workers claim indices from a shared atomic
-/// counter, collect `(index, resolution)` pairs locally, and the merged
-/// pairs are slotted back into submission order. A worker that dies
-/// mid-batch (impossible while per-point containment holds, but the
-/// join is defensive anyway) surfaces as `Failed` outcomes for the
-/// points it never delivered — never as a whole-sweep abort.
-///
-/// When a watchdog deadline is configured, one extra *stall detector*
-/// thread samples per-worker heartbeats and warns on stderr about any
-/// point running well past its deadline. The detector is observability
-/// only: results always come from the workers, so its scheduling can
-/// never affect output bytes. It shuts down *promptly*: the sweep's
-/// finish signal is a condvar notification, so the detector's join
-/// never waits out a sampling period — a serving process can drain a
-/// sweep without leaking (or stalling on) detector threads.
-#[allow(clippy::too_many_arguments)]
-fn parallel_resolutions(
-    engine: &ProjectionEngine,
-    points: &[SweepPoint],
-    threads: usize,
-    use_cache: bool,
-    plan: Option<&FaultPlan>,
-    dur: Option<&DurabilityContext>,
-    sweep_seq: u64,
-    lease: Option<&Range<usize>>,
-) -> Vec<PointResolution> {
-    let next = AtomicUsize::new(0);
-    let signal = StallSignal::new();
-    let heartbeats: Vec<Mutex<Option<(usize, Instant)>>> =
-        (0..threads).map(|_| Mutex::new(None)).collect();
-    let scope_result = crossbeam::scope(|scope| {
-        let detector = dur.and_then(|d| d.timeout()).map(|budget| {
-            let signal = &signal;
-            let heartbeats = &heartbeats;
-            scope.spawn(move |_| {
-                stall_detector(budget, STALL_DETECTOR_PERIOD, signal, heartbeats)
-            })
-        });
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let next = &next;
-                let heartbeat = &heartbeats[w];
-                scope.spawn(move |_| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(point) = points.get(i) else {
-                            break;
-                        };
-                        // ucore-lint: allow(determinism): the heartbeat timestamp is watchdog observability only and never reaches serialized output
-                        let stamp = Instant::now();
-                        *heartbeat.lock().unwrap_or_else(PoisonError::into_inner) =
-                            Some((i, stamp));
-                        local.push((
-                            i,
-                            resolve_point(
-                                engine, point, i, use_cache, plan, dur, sweep_seq, lease,
-                            ),
-                        ));
-                        *heartbeat.lock().unwrap_or_else(PoisonError::into_inner) = None;
-                    }
-                    local
-                })
-            })
-            .collect();
-        let mut tagged: Vec<(usize, PointResolution)> = Vec::with_capacity(points.len());
-        let mut worker_panics: Vec<String> = Vec::new();
-        for handle in handles {
-            match handle.join() {
-                Ok(local) => tagged.extend(local),
-                Err(payload) => worker_panics.push(panic_message(payload.as_ref())),
-            }
-        }
-        signal.finish();
-        if let Some(detector) = detector {
-            let _ = detector.join();
-        }
-        (tagged, worker_panics)
-    });
-    let (tagged, worker_panics) = match scope_result {
-        Ok(collected) => collected,
-        Err(payload) => (Vec::new(), vec![panic_message(payload.as_ref())]),
-    };
-
-    // Slot tagged resolutions into submission order; indices a dead
-    // worker never delivered degrade to Failed.
-    let mut slots: Vec<Option<PointResolution>> = vec![None; points.len()];
-    for (i, resolution) in tagged {
-        if let Some(slot) = slots.get_mut(i) {
-            *slot = Some(resolution);
-        }
-    }
-    let worker_msg = if worker_panics.is_empty() {
-        String::from("sweep worker terminated before delivering this point")
-    } else {
-        format!("sweep worker panicked: {}", worker_panics.join("; "))
-    };
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| PointResolution {
-                outcome: Outcome::Failed { panic_msg: worker_msg.clone() },
-                retries: 0,
-                replayed: false,
-                skipped: false,
-            })
-        })
-        .collect()
-}
-
-/// The sweep-finished signal the stall detector parks on. A condvar —
-/// not a polled flag — so `finish()` wakes the detector mid-period and
-/// its join is immediate rather than bounded by the sampling period
-/// (the PR 3 detector slept out its period before noticing `done`,
-/// which a draining server cannot afford).
-struct StallSignal {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl StallSignal {
-    fn new() -> Self {
-        StallSignal { done: Mutex::new(false), cv: Condvar::new() }
-    }
-
-    /// Marks the sweep finished and wakes the detector immediately.
-    fn finish(&self) {
-        *self.done.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        self.cv.notify_all();
-    }
-
-    /// Parks for up to `period` (or until [`StallSignal::finish`]);
-    /// returns whether the sweep has finished.
-    fn wait_finished(&self, period: Duration) -> bool {
-        let guard = self.done.lock().unwrap_or_else(PoisonError::into_inner);
-        if *guard {
-            return true;
-        }
-        let (guard, _timed_out) = self
-            .cv
-            .wait_timeout(guard, period)
-            .unwrap_or_else(PoisonError::into_inner);
-        *guard
-    }
-}
-
-/// The stall-detector loop: samples worker heartbeats every `period`
-/// until the sweep finishes, warning once per point that overstays its
-/// deadline. Returns as soon as `signal` reports the sweep done.
-fn stall_detector(
-    budget: Duration,
-    period: Duration,
-    signal: &StallSignal,
-    heartbeats: &[Mutex<Option<(usize, Instant)>>],
-) {
-    let mut warned: Vec<usize> = Vec::new();
-    loop {
-        if signal.wait_finished(period) {
-            return;
-        }
-        for (worker, heartbeat) in heartbeats.iter().enumerate() {
-            let sample = *heartbeat.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some((index, started)) = sample {
-                if started.elapsed() > budget + STALL_DETECTOR_GRACE
-                    && !warned.contains(&index)
-                {
-                    warned.push(index);
-                    eprintln!(
-                        "warning: stall detector: point {index} on worker {worker} is \
-                         {} ms past its {} ms deadline; waiting for cooperative \
-                         cancellation",
-                        (started.elapsed() - budget).as_millis(),
-                        budget.as_millis(),
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// Evaluates one point inside a panic boundary, applying any injected
@@ -890,38 +660,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential() {
-        let e = engine();
-        let points = batch(&e);
-        let (seq, _) = sweep(&e, points.clone(), &SweepConfig {
-            threads: Some(1),
-            use_cache: false,
-        });
-        for threads in [2, 4, 7] {
-            let (par, stats) = sweep(&e, points.clone(), &SweepConfig {
-                threads: Some(threads),
-                use_cache: false,
-            });
-            assert_eq!(seq.len(), par.len());
-            for (s, p) in seq.iter().zip(&par) {
-                assert_eq!(s.index, p.index);
-                assert_eq!(s.outcome, p.outcome, "index {}", s.index);
-            }
-            assert_eq!(stats.threads, threads);
-            assert_eq!(stats.cache_misses, 0, "cache was disabled");
-        }
-    }
-
-    #[test]
     fn cached_equals_uncached() {
         let e = engine();
         let points = batch(&e);
         let (plain, _) =
-            sweep(&e, points.clone(), &SweepConfig { threads: Some(1), use_cache: false });
-        let (cached_cold, cold) =
-            sweep(&e, points.clone(), &SweepConfig { threads: None, use_cache: true });
-        let (cached_warm, warm) =
-            sweep(&e, points, &SweepConfig { threads: None, use_cache: true });
+            sweep(&e, points.clone(), &SweepConfig { use_cache: false });
+        let (cached_cold, cold) = sweep(&e, points.clone(), &SweepConfig::default());
+        let (cached_warm, warm) = sweep(&e, points, &SweepConfig::default());
         for (a, b) in plain.iter().zip(&cached_cold) {
             assert_eq!(a.outcome, b.outcome, "cold index {}", a.index);
         }
@@ -946,7 +691,7 @@ mod tests {
         assert_eq!(stats.points, n);
         assert_eq!(stats.points_ok + stats.points_infeasible + stats.points_failed, n);
         assert_eq!(stats.points_failed, 0, "healthy sweeps have no failures");
-        assert!(stats.threads >= 1);
+        assert_eq!(stats.threads, 1, "sweeps run on the caller's thread");
     }
 
     #[test]
@@ -993,39 +738,10 @@ mod tests {
     }
 
     #[test]
-    fn stall_detector_joins_promptly_on_the_finish_signal() {
-        // Regression: the PR 3 detector slept out its full sampling
-        // period before checking `done`, so with a long period a join
-        // would hang. The condvar signal must wake it immediately.
-        let signal = StallSignal::new();
-        let heartbeats: Vec<Mutex<Option<(usize, Instant)>>> = vec![Mutex::new(None)];
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            let detector = scope.spawn(|| {
-                stall_detector(
-                    Duration::from_millis(50),
-                    Duration::from_secs(3600), // one wait would outlive the test
-                    &signal,
-                    &heartbeats,
-                )
-            });
-            std::thread::sleep(Duration::from_millis(20));
-            signal.finish();
-            detector.join().unwrap();
-        });
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "detector must join on the signal, not the period ({:?})",
-            started.elapsed()
-        );
-    }
-
-    #[test]
-    fn stall_signal_already_finished_returns_without_parking() {
-        let signal = StallSignal::new();
-        signal.finish();
-        let started = Instant::now();
-        assert!(signal.wait_finished(Duration::from_secs(3600)));
-        assert!(started.elapsed() < Duration::from_secs(30));
+    fn phase_log_is_bounded_without_a_drain() {
+        for _ in 0..MAX_RETAINED_PHASES + 10 {
+            record_phase(SweepStats::default());
+        }
+        assert!(drain_phase_log().len() <= MAX_RETAINED_PHASES);
     }
 }

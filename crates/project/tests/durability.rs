@@ -4,13 +4,13 @@
 //!
 //! * A run interrupted at *any* point and resumed from its journal
 //!   produces **byte-identical** figure JSON to an uninterrupted run,
-//!   at any thread count, re-evaluating only the missing points.
+//!   re-evaluating only the missing points.
 //! * A journal whose final record is torn (the signature of a crash
 //!   mid-append) resumes with a warning, never an error.
 //! * A stalled point is released as `Failed{timeout}` within its
 //!   `--timeout-ms` budget instead of hanging the sweep.
-//! * Retries with backoff are deterministic across thread counts, and
-//!   replayed points restore their journaled retry accounting.
+//! * Retries with backoff are deterministic, and replayed points
+//!   restore their journaled retry accounting.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -85,10 +85,10 @@ fn resumed_figure6(path: &Path) -> (String, u64, u64) {
 
 /// The crash/resume equivalence matrix: interrupt a journaled figure-6
 /// run after k completed points (what a `kill@k` crash leaves behind),
-/// resume at several thread counts, and require byte-identical JSON
-/// with exactly k points answered from the journal.
+/// resume, and require byte-identical JSON with exactly k points
+/// answered from the journal.
 #[test]
-fn truncated_journal_resume_is_byte_identical_at_all_thread_counts() {
+fn truncated_journal_resume_is_byte_identical() {
     let _lock = serialized();
     let baseline = serde_json::to_string_pretty(&figures::figure6().unwrap()).unwrap();
 
@@ -100,22 +100,13 @@ fn truncated_journal_resume_is_byte_identical_at_all_thread_counts() {
     assert!(total >= 100, "figure 6 sweeps >= 100 points, got {total}");
 
     for crash_after in [0, 1, 7, 40, total - 1, total] {
-        let partial: Vec<u8> = lines[..crash_after].concat();
-        for threads in ["1", "2", "4", "8"] {
-            fs::write(&path, &partial).unwrap();
-            std::env::set_var("UCORE_SWEEP_THREADS", threads);
-            let (json, hits, _) = resumed_figure6(&path);
-            std::env::remove_var("UCORE_SWEEP_THREADS");
-            assert_eq!(
-                json, baseline,
-                "resume after {crash_after} records at {threads} threads"
-            );
-            assert_eq!(
-                hits, crash_after as u64,
-                "exactly the journaled points replay ({crash_after} records, \
-                 {threads} threads)"
-            );
-        }
+        fs::write(&path, lines[..crash_after].concat()).unwrap();
+        let (json, hits, _) = resumed_figure6(&path);
+        assert_eq!(json, baseline, "resume after {crash_after} records");
+        assert_eq!(
+            hits, crash_after as u64,
+            "exactly the journaled points replay ({crash_after} records)"
+        );
     }
     let _ = fs::remove_file(&path);
 }
@@ -190,14 +181,14 @@ fn stale_journal_records_are_ignored_not_replayed() {
         ..Default::default()
     })
     .unwrap();
-    let (results, stats) = sweep(&e, points.clone(), &SweepConfig::sequential());
+    let (results, stats) = sweep(&e, points.clone(), &SweepConfig::default());
     drop(guard);
     assert_eq!(stats.journal_hits, 0, "foreign journal must not answer points");
     assert!(
         durability::durability_totals().journal_stale > stale_before,
         "mismatching fingerprints are counted as stale"
     );
-    let (reference, _) = sweep(&e, points, &SweepConfig::sequential());
+    let (reference, _) = sweep(&e, points, &SweepConfig::default());
     for (a, b) in results.iter().zip(&reference) {
         assert_eq!(a.outcome, b.outcome, "index {}", a.index);
     }
@@ -205,8 +196,8 @@ fn stale_journal_records_are_ignored_not_replayed() {
 }
 
 /// `stall@i` under a watchdog deadline: the stalled point is released
-/// as `Failed{timeout}` within (approximately) the budget, every other
-/// point is untouched, and the result is thread-count independent.
+/// as `Failed{timeout}` within (approximately) the budget, and every
+/// other point is untouched.
 #[test]
 fn stalled_point_fails_with_timeout_within_budget() {
     let _lock = serialized();
@@ -214,76 +205,62 @@ fn stalled_point_fails_with_timeout_within_budget() {
     let points = grid(&e);
     let k = 5;
     let budget = Duration::from_millis(120);
-    let (reference, _) = sweep(&e, points.clone(), &SweepConfig::sequential());
+    let (reference, _) = sweep(&e, points.clone(), &SweepConfig::default());
 
-    for threads in [1, 4] {
-        let (dur_guard, _) = durability::activate(DurabilityConfig {
-            timeout: Some(budget),
-            ..Default::default()
-        })
-        .unwrap();
-        let fault_guard = faultinject::activate(FaultPlan::new().with(k, Fault::Stall));
-        let started = std::time::Instant::now();
-        let (results, stats) = sweep(
-            &e,
-            points.clone(),
-            &SweepConfig { threads: Some(threads), use_cache: true },
-        );
-        let elapsed = started.elapsed();
-        drop(fault_guard);
-        drop(dur_guard);
+    let (dur_guard, _) = durability::activate(DurabilityConfig {
+        timeout: Some(budget),
+        ..Default::default()
+    })
+    .unwrap();
+    let fault_guard = faultinject::activate(FaultPlan::new().with(k, Fault::Stall));
+    let started = std::time::Instant::now();
+    let (results, stats) = sweep(&e, points, &SweepConfig::default());
+    let elapsed = started.elapsed();
+    drop(fault_guard);
+    drop(dur_guard);
 
-        assert_eq!(stats.points_failed, 1, "threads = {threads}");
-        assert_eq!(
-            results[k].outcome.failure_message(),
-            Some(format!("watchdog timeout: point {k} exceeded its 120 ms deadline")
-                .as_str()),
-            "threads = {threads}"
-        );
-        assert!(
-            elapsed < budget + Duration::from_secs(5),
-            "the stall must not hang the sweep (took {elapsed:?})"
-        );
-        for (r, i) in reference.iter().zip(&results) {
-            if i.index != k {
-                assert_eq!(r.outcome, i.outcome, "index {}, threads {threads}", r.index);
-            }
+    assert_eq!(stats.points_failed, 1);
+    assert_eq!(
+        results[k].outcome.failure_message(),
+        Some(format!("watchdog timeout: point {k} exceeded its 120 ms deadline").as_str()),
+    );
+    assert!(
+        elapsed < budget + Duration::from_secs(5),
+        "the stall must not hang the sweep (took {elapsed:?})"
+    );
+    for (r, i) in reference.iter().zip(&results) {
+        if i.index != k {
+            assert_eq!(r.outcome, i.outcome, "index {}", r.index);
         }
     }
 }
 
 /// A transient fault (`panic@kx1`) recovers under `--retries`: the
 /// point succeeds on its second attempt, with identical outcomes and
-/// identical retry accounting at every thread count.
+/// exact retry accounting.
 #[test]
 fn transient_fault_recovers_via_retry_deterministically() {
     let _lock = serialized();
     let e = engine();
     let points = grid(&e);
     let k = 3;
-    let (reference, _) = sweep(&e, points.clone(), &SweepConfig::sequential());
+    let (reference, _) = sweep(&e, points.clone(), &SweepConfig::default());
 
-    for threads in [1, 2, 4, 8] {
-        let (dur_guard, _) = durability::activate(DurabilityConfig {
-            retries: 2,
-            ..Default::default()
-        })
-        .unwrap();
-        let fault_guard =
-            faultinject::activate(FaultPlan::new().with_transient(k, Fault::Panic, 1));
-        let (results, stats) = sweep(
-            &e,
-            points.clone(),
-            &SweepConfig { threads: Some(threads), use_cache: true },
-        );
-        drop(fault_guard);
-        drop(dur_guard);
+    let (dur_guard, _) = durability::activate(DurabilityConfig {
+        retries: 2,
+        ..Default::default()
+    })
+    .unwrap();
+    let fault_guard =
+        faultinject::activate(FaultPlan::new().with_transient(k, Fault::Panic, 1));
+    let (results, stats) = sweep(&e, points, &SweepConfig::default());
+    drop(fault_guard);
+    drop(dur_guard);
 
-        assert_eq!(stats.points_failed, 0, "retry recovered, threads = {threads}");
-        assert_eq!(stats.retries, 1, "exactly one retry, threads = {threads}");
-        for (r, i) in reference.iter().zip(&results) {
-            assert_eq!(r.outcome, i.outcome, "index {}, threads {threads}", r.index);
-        }
+    assert_eq!(stats.points_failed, 0, "retry recovered");
+    assert_eq!(stats.retries, 1, "exactly one retry");
+    for (r, i) in reference.iter().zip(&results) {
+        assert_eq!(r.outcome, i.outcome, "index {}", r.index);
     }
 }
 
@@ -301,7 +278,7 @@ fn persistent_fault_exhausts_the_retry_budget() {
     })
     .unwrap();
     let fault_guard = faultinject::activate(FaultPlan::new().with(k, Fault::Panic));
-    let (results, stats) = sweep(&e, points, &SweepConfig::sequential());
+    let (results, stats) = sweep(&e, points, &SweepConfig::default());
     drop(fault_guard);
     drop(dur_guard);
 
@@ -332,7 +309,7 @@ fn resume_restores_retry_accounting_from_the_journal() {
     .unwrap();
     let fault_guard =
         faultinject::activate(FaultPlan::new().with_transient(k, Fault::Panic, 1));
-    let (original, original_stats) = sweep(&e, points.clone(), &SweepConfig::sequential());
+    let (original, original_stats) = sweep(&e, points.clone(), &SweepConfig::default());
     drop(fault_guard);
     drop(dur_guard);
     assert_eq!(original_stats.retries, 1);
@@ -346,7 +323,7 @@ fn resume_restores_retry_accounting_from_the_journal() {
         ..Default::default()
     })
     .unwrap();
-    let (resumed, resumed_stats) = sweep(&e, points, &SweepConfig::sequential());
+    let (resumed, resumed_stats) = sweep(&e, points, &SweepConfig::default());
     drop(dur_guard);
 
     assert_eq!(resumed_stats.journal_hits as usize, resumed.len());
@@ -528,7 +505,7 @@ fn disk_fault_degrades_journaling_but_not_results() {
     let _guard = serialized();
     let e = engine();
     let points = grid(&e);
-    let (clean, _) = sweep(&e, points.clone(), &SweepConfig::sequential());
+    let (clean, _) = sweep(&e, points.clone(), &SweepConfig::default());
 
     for (kind, tag) in [(Fault::DiskEnospc, "enospc"), (Fault::DiskEio, "eio")] {
         let path = temp_journal(&format!("disk-{tag}"));
@@ -539,7 +516,7 @@ fn disk_fault_degrades_journaling_but_not_results() {
         })
         .unwrap();
         let fguard = faultinject::activate(FaultPlan::new().with(2, kind));
-        let (faulted, stats) = sweep(&e, points.clone(), &SweepConfig::sequential());
+        let (faulted, stats) = sweep(&e, points.clone(), &SweepConfig::default());
         drop(fguard);
         drop(dguard);
         assert_eq!(stats.points_failed, 0, "{tag}: disk faults never fail points");

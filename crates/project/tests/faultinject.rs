@@ -3,7 +3,7 @@
 //! The contract under test (see DESIGN.md "Failure model & fault
 //! containment"): an injected fault at submission index *k* degrades
 //! exactly the one outcome at *k* to `Failed`, every other outcome is
-//! bit-identical to an uninjected run at any thread count, and the
+//! bit-identical to an uninjected run, and the
 //! memoized evaluation cache is never touched — let alone corrupted —
 //! by a faulted point.
 
@@ -33,42 +33,31 @@ fn grid(engine: &ProjectionEngine) -> Vec<SweepPoint> {
 }
 
 #[test]
-fn injected_panic_is_contained_to_its_index_at_any_thread_count() {
+fn injected_panic_is_contained_to_its_index() {
     let _lock = serialized();
     let e = engine();
     let points = grid(&e);
     let k = 7;
     assert!(points.len() > k);
 
-    let (reference, _) = sweep(
-        &e,
-        points.clone(),
-        &SweepConfig { threads: Some(1), use_cache: false },
-    );
+    let (reference, _) = sweep(&e, points.clone(), &SweepConfig { use_cache: false });
 
-    for threads in [1, 2, 4, 8] {
-        let guard = activate(FaultPlan::new().with(k, Fault::Panic));
-        let (injected, stats) = sweep(
-            &e,
-            points.clone(),
-            &SweepConfig { threads: Some(threads), use_cache: false },
-        );
-        drop(guard);
+    let guard = activate(FaultPlan::new().with(k, Fault::Panic));
+    let (injected, stats) = sweep(&e, points, &SweepConfig { use_cache: false });
+    drop(guard);
 
-        assert_eq!(injected.len(), reference.len(), "threads = {threads}");
-        assert_eq!(stats.points_failed, 1, "exactly one failure, threads = {threads}");
-        for (r, i) in reference.iter().zip(&injected) {
-            assert_eq!(r.index, i.index);
-            if i.index == k {
-                assert_eq!(
-                    i.outcome.failure_message(),
-                    Some(format!("injected panic at point {k}").as_str()),
-                    "threads = {threads}"
-                );
-            } else {
-                // Bit-identical to the uninjected run.
-                assert_eq!(r.outcome, i.outcome, "index {}, threads {threads}", r.index);
-            }
+    assert_eq!(injected.len(), reference.len());
+    assert_eq!(stats.points_failed, 1, "exactly one failure");
+    for (r, i) in reference.iter().zip(&injected) {
+        assert_eq!(r.index, i.index);
+        if i.index == k {
+            assert_eq!(
+                i.outcome.failure_message(),
+                Some(format!("injected panic at point {k}").as_str()),
+            );
+        } else {
+            // Bit-identical to the uninjected run.
+            assert_eq!(r.outcome, i.outcome, "index {}", r.index);
         }
     }
 }
@@ -84,8 +73,7 @@ fn every_fault_kind_degrades_to_a_typed_failure() {
             .with(2, Fault::InfParam)
             .with(3, Fault::CacheError),
     );
-    let (results, stats) =
-        sweep(&e, points, &SweepConfig { threads: Some(4), use_cache: false });
+    let (results, stats) = sweep(&e, points, &SweepConfig { use_cache: false });
     drop(guard);
 
     assert_eq!(stats.points_failed, 3);
@@ -111,8 +99,7 @@ fn faulted_points_never_touch_the_memoized_cache() {
     let guard = activate(
         FaultPlan::new().with(5, Fault::Panic).with(6, Fault::CacheError),
     );
-    let (_, injected_stats) =
-        sweep(&e, points.clone(), &SweepConfig { threads: Some(4), use_cache: true });
+    let (_, injected_stats) = sweep(&e, points.clone(), &SweepConfig::default());
     drop(guard);
     assert_eq!(injected_stats.points_failed, 2);
     assert_eq!(
@@ -124,8 +111,7 @@ fn faulted_points_never_touch_the_memoized_cache() {
 
     // Healthy re-run on the same cache: the surviving points all hit,
     // only the two previously-faulted points miss.
-    let (healthy, healthy_stats) =
-        sweep(&e, points.clone(), &SweepConfig { threads: Some(4), use_cache: true });
+    let (healthy, healthy_stats) = sweep(&e, points.clone(), &SweepConfig::default());
     assert_eq!(healthy_stats.points_failed, 0);
     assert_eq!(healthy_stats.cache_hits as usize, n - 2);
     assert_eq!(healthy_stats.cache_misses as usize, 2);
@@ -133,8 +119,7 @@ fn faulted_points_never_touch_the_memoized_cache() {
     // And the memoized outcomes are bit-identical to a fresh, uncached
     // engine: nothing the faults did leaked into the cache.
     let fresh = engine();
-    let (reference, _) =
-        sweep(&fresh, points, &SweepConfig { threads: Some(1), use_cache: false });
+    let (reference, _) = sweep(&fresh, points, &SweepConfig { use_cache: false });
     for (h, r) in healthy.iter().zip(&reference) {
         assert_eq!(h.outcome, r.outcome, "index {}", h.index);
     }
@@ -146,8 +131,7 @@ fn faults_beyond_the_grid_are_inert() {
     let e = engine();
     let points = grid(&e);
     let guard = activate(FaultPlan::new().with(1_000_000, Fault::Panic));
-    let (results, stats) =
-        sweep(&e, points, &SweepConfig { threads: Some(2), use_cache: false });
+    let (results, stats) = sweep(&e, points, &SweepConfig { use_cache: false });
     drop(guard);
     assert_eq!(stats.points_failed, 0);
     assert!(results.iter().all(|r| r.outcome.failure_message().is_none()));

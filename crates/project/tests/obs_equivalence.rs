@@ -2,56 +2,46 @@
 //!
 //! DESIGN.md §14 promises that arming the full observability stack —
 //! span tracing into the ring buffer, metrics counters, the lot — does
-//! not change a single byte of serialized figure output, at any worker
-//! thread count. This suite renders figures 6–11 twice per thread
-//! count, once with tracing fully enabled and once fully disabled, and
-//! diffs the JSON byte for byte. (Metrics counters cannot be "turned
-//! off" — they are always-on atomics — so the enabled/disabled axis is
-//! the trace channel, the only part with an armed/disarmed state.)
-//!
-//! This lives in its own integration-test binary because it owns the
-//! `UCORE_SWEEP_THREADS` process environment variable for its duration.
+//! not change a single byte of serialized figure output. This suite
+//! renders figures 6–11 twice, once with tracing fully enabled and once
+//! fully disabled, and diffs the JSON byte for byte. (Metrics counters
+//! cannot be "turned off" — they are always-on atomics — so the
+//! enabled/disabled axis is the trace channel, the only part with an
+//! armed/disarmed state.)
 
 use ucore_project::figures;
 use ucore_project::results::FigureData;
 
-/// Renders every projected figure at `threads` workers, with span
-/// tracing armed when `traced`.
-fn render(threads: &str, traced: bool) -> Vec<(&'static str, String)> {
-    std::env::set_var("UCORE_SWEEP_THREADS", threads);
+/// Renders every projected figure, with span tracing armed when
+/// `traced`.
+fn render(traced: bool) -> Vec<(&'static str, String)> {
     let _guard = traced.then(|| ucore_obs::trace::start(ucore_obs::trace::DEFAULT_CAPACITY));
     let json = |fig: FigureData| serde_json::to_string(&fig).expect("figure serializes");
-    let out = vec![
+    vec![
         ("figure6", json(figures::figure6().expect("figure 6 projects"))),
         ("figure7", json(figures::figure7().expect("figure 7 projects"))),
         ("figure8", json(figures::figure8().expect("figure 8 projects"))),
         ("figure9", json(figures::figure9().expect("figure 9 projects"))),
         ("figure10", json(figures::figure10().expect("figure 10 projects"))),
         ("figure11", json(figures::figure11().expect("figure 11 projects"))),
-    ];
-    std::env::remove_var("UCORE_SWEEP_THREADS");
-    out
+    ]
 }
 
 #[test]
 fn figure_json_is_byte_identical_with_and_without_tracing() {
-    for threads in ["1", "2", "4", "8"] {
-        let plain = render(threads, false);
-        let traced = render(threads, true);
-        for ((name, expected), (_, got)) in plain.iter().zip(traced.iter()) {
-            assert_eq!(got, expected, "{name} at {threads} threads (traced vs not)");
-        }
+    let plain = render(false);
+    let traced = render(true);
+    for ((name, expected), (_, got)) in plain.iter().zip(traced.iter()) {
+        assert_eq!(got, expected, "{name} (traced vs not)");
     }
 }
 
 #[test]
 fn traced_run_yields_a_decodable_trace_with_balanced_spans() {
-    std::env::set_var("UCORE_SWEEP_THREADS", "4");
     let guard = ucore_obs::trace::start(ucore_obs::trace::DEFAULT_CAPACITY);
     figures::figure6().expect("figure 6 projects");
     let encoded = ucore_obs::trace::encode().expect("tracing is armed");
     drop(guard);
-    std::env::remove_var("UCORE_SWEEP_THREADS");
 
     let trace = ucore_obs::Trace::decode(&encoded).expect("trace round-trips");
     assert_eq!(trace.dropped, 0, "figure 6 fits the default ring");

@@ -5,7 +5,7 @@
 //! from data it threads through the sweep; the metrics registry counts
 //! the same events through process-global counters. These tests inject
 //! faults and assert the two ledgers move in lockstep — and that a
-//! worker panic cannot corrupt the span ring buffer (the exit event is
+//! point's panic cannot corrupt the span ring buffer (the exit event is
 //! emitted by the guard's `Drop` during unwinding).
 //!
 //! Registry counters are cumulative for the process, so every assertion
@@ -99,8 +99,7 @@ fn stall_fault_under_watchdog_moves_both_ledgers_identically() {
     })
     .unwrap();
     let fault_guard = activate(FaultPlan::new().with(k, Fault::Stall));
-    let (_, stats) =
-        sweep(&e, points, &SweepConfig { threads: Some(4), use_cache: true });
+    let (_, stats) = sweep(&e, points, &SweepConfig::default());
     drop(fault_guard);
     drop(dur_guard);
     let after = ucore_obs::registry().snapshot();
@@ -130,8 +129,7 @@ fn span_buffer_survives_worker_panics_uncorrupted() {
 
     let trace_guard = ucore_obs::trace::start(ucore_obs::trace::DEFAULT_CAPACITY);
     let fault_guard = activate(FaultPlan::new().with(k, Fault::Panic));
-    let (_, stats) =
-        sweep(&e, points, &SweepConfig { threads: Some(4), use_cache: false });
+    let (_, stats) = sweep(&e, points, &SweepConfig { use_cache: false });
     drop(fault_guard);
     let trace = ucore_obs::trace::snapshot().expect("tracing is armed");
     drop(trace_guard);
@@ -139,7 +137,7 @@ fn span_buffer_survives_worker_panics_uncorrupted() {
     assert_eq!(stats.points_failed, 1);
     assert_eq!(trace.dropped, 0, "this grid fits the default ring");
     // Every enter has a matching exit per name — including the panicked
-    // point, whose exit is emitted while its worker unwinds.
+    // point, whose exit is emitted while its evaluation unwinds.
     let mut balance = std::collections::BTreeMap::new();
     let mut node_point_enters = 0u64;
     let mut panicked_point_seen = false;
@@ -173,12 +171,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The outcome identity `ok + infeasible + failed == submitted`
-    /// holds for registry deltas under any mix of injected faults at
-    /// any thread count.
+    /// holds for registry deltas under any mix of injected faults.
     #[test]
     fn outcome_identity_holds_under_random_faults(
         fault_indices in prop::collection::vec(0usize..40, 3),
-        threads in prop::sample::select(vec![1usize, 2, 4, 8]),
     ) {
         let _lock = serialized();
         let e = engine();
@@ -199,11 +195,7 @@ proptest! {
 
         let before = ucore_obs::registry().snapshot();
         let guard = activate(plan);
-        let (_, stats) = sweep(
-            &e,
-            points,
-            &SweepConfig { threads: Some(threads), use_cache: false },
-        );
+        let (_, stats) = sweep(&e, points, &SweepConfig { use_cache: false });
         drop(guard);
         let after = ucore_obs::registry().snapshot();
 

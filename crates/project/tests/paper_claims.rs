@@ -4,10 +4,9 @@
 //! (not the paper's published number — see the range-based claim tests
 //! for those). Pinning exact values turns any silent numerical drift —
 //! a refactored formula, a changed evaluation order, a different
-//! calibration draw — into a loud test failure. The parallel sweep
-//! engine is covered implicitly: figures are built through it, so these
-//! goldens also certify that fan-out and memoization do not perturb
-//! results.
+//! calibration draw — into a loud test failure. The sweep engine is
+//! covered implicitly: figures are built through it, so these goldens
+//! also certify that memoization does not perturb results.
 //!
 //! To regenerate after an *intentional* model change, run
 //!

@@ -78,7 +78,7 @@ fn worker_lease_sweeps_and_journals_only_the_lease() {
     assert!(!lease.is_empty(), "the test grid must give shard 1/4 a real lease");
 
     // Unsharded reference run (no durability active).
-    let (reference, _) = sweep(&e, points.clone(), &SweepConfig::sequential());
+    let (reference, _) = sweep(&e, points.clone(), &SweepConfig::default());
 
     let path = temp_path("lease");
     let (guard, _) = durability::activate(DurabilityConfig {
@@ -87,7 +87,7 @@ fn worker_lease_sweeps_and_journals_only_the_lease() {
         ..Default::default()
     })
     .unwrap();
-    let (sharded, stats) = sweep(&e, points, &SweepConfig::sequential());
+    let (sharded, stats) = sweep(&e, points, &SweepConfig::default());
     drop(guard);
 
     assert_eq!(stats.points, total);
@@ -128,7 +128,7 @@ fn merged_shard_journals_equal_the_single_run_journal_bytes() {
         ..Default::default()
     })
     .unwrap();
-    let _ = sweep(&e, points.clone(), &SweepConfig::sequential());
+    let _ = sweep(&e, points.clone(), &SweepConfig::default());
     drop(guard);
     let single_bytes = fs::read(&single).unwrap();
 
@@ -143,7 +143,7 @@ fn merged_shard_journals_equal_the_single_run_journal_bytes() {
             ..Default::default()
         })
         .unwrap();
-        let _ = sweep(&e, points.clone(), &SweepConfig::sequential());
+        let _ = sweep(&e, points.clone(), &SweepConfig::default());
         drop(guard);
     }
     let report = merge_journals(&shard_paths, &merged).unwrap();

@@ -21,10 +21,9 @@
 //!   journal cut off this way replays with `--resume` to byte-identical
 //!   output.
 //!
-//! Sweeps inside requests run sequentially (`UCORE_SWEEP_THREADS=1`
-//! unless the environment overrides it): the worker pool is the
-//! parallelism, and a sequential sweep keeps each request's cooperative
-//! deadline on the thread that armed it.
+//! Sweeps run on the worker thread that serves the request: the worker
+//! pool is the parallelism, and each request's cooperative deadline
+//! stays on the thread that armed it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -205,12 +204,6 @@ fn main() -> ExitCode {
     if cli.help {
         println!("{}", usage());
         return ExitCode::SUCCESS;
-    }
-    // Sequential sweeps inside requests: the worker pool is the
-    // parallelism, and the per-request deadline is a thread-local that
-    // must stay on the thread that armed it.
-    if std::env::var_os("UCORE_SWEEP_THREADS").is_none() {
-        std::env::set_var("UCORE_SWEEP_THREADS", "1");
     }
     let _durability_guard = match activate_durability(&cli) {
         Ok(guard) => guard,

@@ -227,9 +227,6 @@ fn graceful_drain_finishes_inflight_and_refuses_late_arrivals() {
 #[test]
 fn request_deadline_returns_504_with_the_taxonomy_code() {
     let _gate = serialized();
-    // Sequential sweeps keep the cooperative deadline on the worker
-    // thread that armed it (the served binary does the same).
-    std::env::set_var("UCORE_SWEEP_THREADS", "1");
     let server = boot(|c| {
         c.request_timeout = Some(Duration::from_millis(1));
     });
@@ -244,7 +241,6 @@ fn request_deadline_returns_504_with_the_taxonomy_code() {
     assert_eq!(status, 200);
     let report = server.stop();
     assert!(report.drained);
-    std::env::remove_var("UCORE_SWEEP_THREADS");
 }
 
 #[test]

@@ -156,8 +156,7 @@ fn sweep_contains_injected_panics_behind_the_facade() {
     let n = points.len();
 
     let guard = activate(FaultPlan::new().with(2, Fault::Panic));
-    let (results, stats) =
-        sweep(&engine, points, &SweepConfig { threads: Some(3), use_cache: false });
+    let (results, stats) = sweep(&engine, points, &SweepConfig { use_cache: false });
     drop(guard);
 
     assert_eq!(results.len(), n, "a contained fault never truncates the sweep");
