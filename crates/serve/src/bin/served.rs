@@ -27,7 +27,6 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 use ucore_project::durability::{self, DurabilityConfig, DurabilityGuard};
 use ucore_serve::{Limits, Server, ServerConfig};
@@ -233,10 +232,12 @@ fn main() -> ExitCode {
         Err(e) => eprintln!("served: listening (address unavailable: {e})"),
     }
     // Bridge the async-signal-safe flag to the server's shutdown handle.
+    // The wake connection `request` makes is ordinary socket I/O, so it
+    // happens here on the bridge thread, never in the signal handler.
     let shutdown = server.shutdown_handle();
     std::thread::spawn(move || loop {
         if signals::requested() {
-            shutdown.store(true, Ordering::SeqCst);
+            shutdown.request();
             return;
         }
         std::thread::sleep(Duration::from_millis(20));

@@ -42,5 +42,5 @@ pub mod service;
 
 pub use error::ServeError;
 pub use http::{Limits, ParseError, Request};
-pub use server::{DrainReport, Server, ServerConfig};
+pub use server::{DrainReport, Server, ServerConfig, ShutdownHandle};
 pub use service::{handle, Response};

@@ -6,7 +6,10 @@
 //! *and* the queue is full, sheds the connection immediately with a
 //! structured `server.overloaded` 503 — overload degrades into fast,
 //! explicit rejections, never unbounded queue growth or a hung client.
-//! Shutdown is a three-step drain: stop admitting (late arrivals get
+//! The acceptor blocks in `accept`, so a connection is admitted the
+//! moment it arrives. Shutdown is a three-step drain: stop admitting
+//! ([`ShutdownHandle::request`] sets the flag and wakes the blocked
+//! acceptor with one loopback connection; late arrivals get
 //! `server.draining` 503), let workers finish the queued and in-flight
 //! requests under a bounded drain deadline, then return so the caller
 //! can flush the journal and exit.
@@ -15,14 +18,18 @@ use crate::error::ServeError;
 use crate::http::{self, Limits, ParseError};
 use crate::service::{self, Response};
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How long the acceptor sleeps when `accept` has nothing to hand out.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the acceptor backs off after a transient `accept` failure
+/// (e.g. EMFILE) before trying again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// How long a shutdown request waits to connect its wake connection.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How often the drain loop re-checks worker completion.
 const DRAIN_POLL: Duration = Duration::from_millis(5);
@@ -81,26 +88,66 @@ struct Occupancy {
     inflight: AtomicI64,
 }
 
-/// A bound listener plus its shutdown flag; `run` turns it into the
+/// A bound listener plus its shutdown handle; `run` turns it into the
 /// serving loop.
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
     config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
+}
+
+/// Stops a [`Server`]'s serving loop from another thread.
+#[derive(Debug, Clone)]
+pub struct ShutdownHandle {
+    flag: Arc<AtomicBool>,
+    /// Where the wake connection goes: the bound address, with an
+    /// unspecified IP mapped to loopback.
+    wake: SocketAddr,
+}
+
+impl ShutdownHandle {
+    /// Sets the shutdown flag, then makes one connection to the server
+    /// so its acceptor, blocked in `accept`, wakes and sees the flag.
+    /// The wake connection is answered like any late arrival
+    /// (`server.draining` 503). A failed connect is ignored: the
+    /// acceptor then sees the flag at its next connection.
+    pub fn request(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, WAKE_CONNECT_TIMEOUT);
+    }
+
+    fn requested(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
 }
 
 impl Server {
-    /// Binds the listen address (nonblocking, so the acceptor can poll
-    /// the shutdown flag).
+    /// Binds the listen address. The listener stays blocking: the
+    /// acceptor sleeps in `accept` until a connection (or a shutdown
+    /// request's wake connection) arrives.
     ///
     /// # Errors
     ///
     /// Propagates bind/configuration failures from the OS.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(Server { listener, config, shutdown: Arc::new(AtomicBool::new(false)) })
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let shutdown = ShutdownHandle {
+            flag: Arc::new(AtomicBool::new(false)),
+            wake,
+        };
+        Ok(Server {
+            listener,
+            config,
+            shutdown,
+        })
     }
 
     /// The bound address (useful after binding port 0).
@@ -112,18 +159,20 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The flag that stops the serving loop: set it (from a signal
-    /// handler or another thread) and `run` begins its drain.
-    pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+    /// The handle that stops the serving loop: call
+    /// [`ShutdownHandle::request`] from another thread and `run` begins
+    /// its drain.
+    pub fn shutdown_handle(&self) -> ShutdownHandle {
+        self.shutdown.clone()
     }
 
-    /// Serves until the shutdown flag is set, then drains and returns.
+    /// Serves until shutdown is requested, then drains and returns.
     ///
     /// # Errors
     ///
-    /// Only startup failures (spawning workers) error; per-connection
-    /// I/O failures are absorbed as that connection's outcome.
+    /// Only spawning workers and switching the listener to nonblocking
+    /// for the drain can fail; per-connection I/O failures are absorbed
+    /// as that connection's outcome.
     pub fn run(self) -> io::Result<DrainReport> {
         let workers = self.config.workers.max(1);
         let (sender, receiver) = std::sync::mpsc::sync_channel::<TcpStream>(self.config.queue_depth);
@@ -144,6 +193,8 @@ impl Server {
         // Drop our sender so the queue disconnects once drained and the
         // workers exit their recv loops.
         drop(sender);
+        // The drain loop polls for late arrivals between worker checks.
+        self.listener.set_nonblocking(true)?;
         let deadline = Instant::now() + self.config.drain;
         let report = loop {
             let joined = handles.iter().filter(|h| h.is_finished()).count();
@@ -156,8 +207,7 @@ impl Server {
             // Late arrivals during the drain window get an explicit
             // draining response instead of a connection reset.
             if let Ok((stream, _)) = self.listener.accept() {
-                configure_stream(&stream, &self.config);
-                refuse(stream, &self.config, &ServeError::draining());
+                self.refuse_late(stream);
             }
             std::thread::sleep(DRAIN_POLL);
         };
@@ -169,11 +219,17 @@ impl Server {
         Ok(report)
     }
 
-    /// Accepts until shutdown: admit to the bounded queue or shed.
+    /// Accepts until shutdown: admit to the bounded queue or shed. A
+    /// connection accepted once shutdown was requested (the wake
+    /// connection, or a client racing it) is refused as a late arrival.
     fn accept_loop(&self, sender: &SyncSender<TcpStream>, occupancy: &Occupancy) {
         let m = crate::obs::metrics();
-        while !self.shutdown.load(Ordering::SeqCst) {
+        while !self.shutdown.requested() {
             match self.listener.accept() {
+                Ok((stream, _)) if self.shutdown.requested() => {
+                    self.refuse_late(stream);
+                    return;
+                }
                 Ok((stream, _)) => {
                     m.accepted.inc();
                     configure_stream(&stream, &self.config);
@@ -184,25 +240,29 @@ impl Server {
                         }
                         Err(TrySendError::Full(stream)) => {
                             m.shed.inc();
-                            refuse(stream, &self.config, &ServeError::overloaded());
+                            refuse(stream, &ServeError::overloaded());
                         }
                         Err(TrySendError::Disconnected(stream)) => {
                             // Workers are gone; nothing can serve this.
-                            refuse(stream, &self.config, &ServeError::draining());
+                            refuse(stream, &ServeError::draining());
                             return;
                         }
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
                 Err(_) => {
                     // Transient accept failure (e.g. EMFILE); back off
                     // rather than spin or die.
-                    std::thread::sleep(ACCEPT_POLL);
+                    std::thread::sleep(ACCEPT_BACKOFF);
                 }
             }
         }
+    }
+
+    /// Answers a connection that arrived after shutdown was requested
+    /// with an explicit draining response instead of a reset.
+    fn refuse_late(&self, stream: TcpStream) {
+        configure_stream(&stream, &self.config);
+        refuse(stream, &ServeError::draining());
     }
 }
 
@@ -216,7 +276,7 @@ fn configure_stream(stream: &TcpStream, config: &ServerConfig) {
 
 /// Writes a refusal (shed/draining) on the acceptor thread and counts
 /// it like any other error response.
-fn refuse(mut stream: TcpStream, _config: &ServerConfig, error: &ServeError) {
+fn refuse(mut stream: TcpStream, error: &ServeError) {
     write_counted(&mut stream, &Response::from_error(error));
 }
 

@@ -10,7 +10,6 @@
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 use ucore_serve::{Limits, ParseError, Server, ServerConfig};
 
@@ -82,7 +81,7 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// Boots a server on a loopback port with a short io timeout; returns
-/// its address, shutdown flag, and join handle.
+/// its address and a closure that stops it and checks the drain.
 fn boot(io_timeout: Duration) -> (std::net::SocketAddr, impl FnOnce()) {
     let mut config = ServerConfig::new("127.0.0.1:0");
     config.workers = 2;
@@ -94,7 +93,7 @@ fn boot(io_timeout: Duration) -> (std::net::SocketAddr, impl FnOnce()) {
     let shutdown = server.shutdown_handle();
     let handle = std::thread::spawn(move || server.run());
     let stop = move || {
-        shutdown.store(true, Ordering::SeqCst);
+        shutdown.request();
         let report = handle
             .join()
             .expect("server thread")
