@@ -36,10 +36,9 @@ use ucore_project::sweep::{figure_points, sweep, SweepConfig};
 use ucore_project::{DesignId, ProjectionEngine, Scenario};
 use ucore_simdev::{counters, PowerModel, SimLab};
 use ucore_workloads::blackscholes::batch;
-use ucore_workloads::fft::splitradix::SplitRadixFft;
 use ucore_workloads::fft::{Direction, Fft};
 use ucore_workloads::gen::{random_matrix, random_portfolio, random_signal};
-use ucore_workloads::mmm::{blocked, naive, parallel, strassen};
+use ucore_workloads::mmm::{blocked, naive};
 use ucore_workloads::{Workload, WorkloadKind};
 
 use crate::tables;
@@ -378,22 +377,11 @@ fn kernel_benches(visit: &mut Visitor<'_>) -> Result<(), SnapshotError> {
                 black_box(c);
             }
         });
-        visit(&format!("kernels/mmm/parallel4/{n}"), &mut || {
-            if let Ok(c) = parallel::multiply(&a, &b, 32, 4) {
-                black_box(c);
-            }
-        });
-        visit(&format!("kernels/mmm/strassen/{n}"), &mut || {
-            if let Ok(c) = strassen::multiply(&a, &b) {
-                black_box(c);
-            }
-        });
     }
 
     for log2 in [8u32, 12] {
         let n = 1usize << log2;
         let plan = setup("fft plan", Fft::new(n))?;
-        let split = setup("split-radix plan", SplitRadixFft::new(n))?;
         let signal = random_signal(n, 3);
         let mut buf = signal.clone();
         visit(&format!("kernels/fft/{n}"), &mut || {
@@ -402,21 +390,11 @@ fn kernel_benches(visit: &mut Visitor<'_>) -> Result<(), SnapshotError> {
                 black_box(buf[0]);
             }
         });
-        visit(&format!("kernels/fft/split_radix/{n}"), &mut || {
-            if let Ok(out) = split.transform(&signal, Direction::Forward) {
-                black_box(out);
-            }
-        });
     }
 
     let portfolio = random_portfolio(4096, 5);
     visit("kernels/black_scholes/serial", &mut || {
         black_box(batch::price_all(&portfolio));
-    });
-    visit("kernels/black_scholes/parallel4", &mut || {
-        if let Ok(prices) = batch::price_all_parallel(&portfolio, 4) {
-            black_box(prices);
-        }
     });
     Ok(())
 }
@@ -825,7 +803,7 @@ mod tests {
             }
             all.extend(ids);
         }
-        assert_eq!(all.len(), 46, "{all:?}");
+        assert_eq!(all.len(), 39, "{all:?}");
         let unique: std::collections::HashSet<&String> = all.iter().collect();
         assert_eq!(unique.len(), all.len(), "duplicate bench ids: {all:?}");
     }

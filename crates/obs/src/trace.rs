@@ -1,16 +1,19 @@
 //! Structured spans: an append-only binary ring buffer of enter/exit
 //! events.
 //!
-//! Tracing is off by default and costs one relaxed atomic load per
-//! [`span!`](crate::span) site when disabled. [`start`] installs a
-//! process-wide ring buffer (guard-scoped, mirroring the workspace's
-//! `faultinject`/`durability` activation pattern); every
-//! [`SpanGuard::enter`] then records an *enter* event and its `Drop`
-//! records the matching *exit*. Because the exit is emitted from
-//! `Drop`, it runs during unwinding too: a contained worker panic
-//! inside a span still closes it, so the buffer is never corrupted by
-//! the sweep's `catch_unwind` containment boundary (the fault-injection
-//! crossover suite asserts this).
+//! Tracing is off by default and thread-scoped: [`start`] installs a
+//! ring buffer for the calling thread only (guard-scoped, mirroring the
+//! workspace's `faultinject`/`durability` activation pattern), and a
+//! [`span!`](crate::span) site on any other thread stays inert after
+//! one thread-local read. On the armed thread every
+//! [`SpanGuard::enter`] records an *enter* event and its `Drop` records
+//! the matching *exit*. Sweeps run on their caller's thread, so arming
+//! the thread that runs them captures every span; two threads tracing
+//! at once (two tests, say) each see only their own spans. Because the
+//! exit is emitted from `Drop`, it runs during unwinding too: a
+//! contained worker panic inside a span still closes it, so the buffer
+//! is never corrupted by the sweep's `catch_unwind` containment
+//! boundary (the fault-injection crossover suite asserts this).
 //!
 //! Events are keyed by `(sweep_seq, index, depth)` and carry two
 //! timestamps from [`clock`](crate::clock): the global monotonic tick
@@ -27,8 +30,8 @@
 //! magic  b"UOBS"
 //! u16    version (1)
 //! u16    name count        — names sorted bytewise, ids remapped, so
-//!                            the table is deterministic even though
-//!                            interning order races across threads
+//!                            the table does not depend on the order
+//!                            spans first ran in
 //! per name: u16 length + UTF-8 bytes
 //! u64    dropped event count
 //! u64    event count
@@ -39,11 +42,12 @@
 //! ```
 
 use crate::clock;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::marker::PhantomData;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic bytes opening every encoded trace.
 pub const TRACE_MAGIC: [u8; 4] = *b"UOBS";
@@ -287,88 +291,88 @@ struct RawEvent {
     wall_ns: u64,
 }
 
-/// The live ring buffer.
+/// The live ring buffer. Only the thread that armed it records into
+/// it, so it needs no locks.
 #[derive(Debug)]
 struct TraceBuffer {
-    slots: Vec<Mutex<Option<RawEvent>>>,
-    cursor: AtomicU64,
+    /// Recorded events: grows to `capacity`, then wraps.
+    slots: Vec<RawEvent>,
+    capacity: usize,
+    /// Events recorded so far, including overwritten ones.
+    written: u64,
     /// Names in first-intern order; remapped to sorted order at
     /// snapshot time.
-    names: Mutex<Vec<&'static str>>,
+    names: Vec<&'static str>,
 }
 
 impl TraceBuffer {
     fn new(capacity: usize) -> Self {
         let capacity = capacity.max(16);
         TraceBuffer {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicU64::new(0),
-            names: Mutex::new(Vec::new()),
+            slots: Vec::with_capacity(capacity),
+            capacity,
+            written: 0,
+            names: Vec::new(),
         }
     }
 
     /// The id for `name`, interning it on first sight. Span names are
     /// compile-time literals, so the table stays tiny and a linear scan
     /// is cheaper than any map.
-    fn intern(&self, name: &'static str) -> u16 {
-        let mut names = self.names.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(pos) = names.iter().position(|&n| n == name) {
+    fn intern(&mut self, name: &'static str) -> u16 {
+        if let Some(pos) = self.names.iter().position(|&n| n == name) {
             return pos as u16;
         }
-        if names.len() >= usize::from(u16::MAX) {
+        if self.names.len() >= usize::from(u16::MAX) {
             return u16::MAX; // pathological; events keep the sentinel id
         }
-        names.push(name);
-        (names.len() - 1) as u16
+        self.names.push(name);
+        (self.names.len() - 1) as u16
     }
 
-    fn record(&self, ev: RawEvent) {
-        let claim = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let idx = (claim % self.slots.len() as u64) as usize;
-        if let Some(slot) = self.slots.get(idx) {
-            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(ev);
+    fn record(&mut self, ev: RawEvent) {
+        let idx = (self.written % self.capacity as u64) as usize;
+        match self.slots.get_mut(idx) {
+            Some(slot) => *slot = ev,
+            None => self.slots.push(ev),
         }
+        self.written += 1;
     }
 
     /// Freezes the buffer into a [`Trace`]: events oldest-first, names
-    /// sorted bytewise with event ids remapped (interning order races
-    /// across threads; sorted order is deterministic).
+    /// sorted bytewise with event ids remapped (sorted order does not
+    /// depend on which span ran first).
     fn freeze(&self) -> Trace {
-        let names = self.names.lock().unwrap_or_else(PoisonError::into_inner).clone();
-        let mut sorted: Vec<&'static str> = names.clone();
+        let mut sorted = self.names.clone();
         sorted.sort_unstable();
         let remap: BTreeMap<&'static str, u16> = sorted
             .iter()
             .enumerate()
             .map(|(i, &n)| (n, i as u16))
             .collect();
-        let written = self.cursor.load(Ordering::Relaxed);
-        let capacity = self.slots.len() as u64;
-        let dropped = written.saturating_sub(capacity);
-        let start = if written > capacity { written % capacity } else { 0 };
-        let live = written.min(capacity);
-        let mut events = Vec::with_capacity(live as usize);
-        for i in 0..live {
-            let idx = ((start + i) % capacity) as usize;
-            let Some(slot) = self.slots.get(idx) else { continue };
-            let Some(raw) = *slot.lock().unwrap_or_else(PoisonError::into_inner) else {
-                continue; // claimed but not yet written; skip the hole
-            };
-            let name = names
-                .get(usize::from(raw.name))
-                .and_then(|n| remap.get(n).copied())
-                .unwrap_or(u16::MAX);
-            events.push(SpanEvent {
+        let dropped = self.written.saturating_sub(self.capacity as u64);
+        let oldest = (dropped % self.capacity as u64) as usize;
+        let events = self
+            .slots
+            .iter()
+            .cycle()
+            .skip(oldest)
+            .take(self.slots.len())
+            .map(|raw| SpanEvent {
                 kind: if raw.kind == 0 { SpanKind::Enter } else { SpanKind::Exit },
-                name,
+                name: self
+                    .names
+                    .get(usize::from(raw.name))
+                    .and_then(|n| remap.get(n).copied())
+                    .unwrap_or(u16::MAX),
                 thread: raw.thread,
                 depth: raw.depth,
                 sweep_seq: raw.sweep_seq,
                 index: raw.index,
                 tick: raw.tick,
                 wall_ns: raw.wall_ns,
-            });
-        }
+            })
+            .collect();
         Trace {
             names: sorted.into_iter().map(str::to_string).collect(),
             events,
@@ -377,73 +381,70 @@ impl TraceBuffer {
     }
 }
 
-/// Fast-path flag: `false` makes `span!` cost one relaxed load.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ACTIVE: RwLock<Option<Arc<TraceBuffer>>> = RwLock::new(None);
+type SharedBuffer = Rc<RefCell<TraceBuffer>>;
 
 /// Default ring-buffer capacity (events): comfortably holds every span
 /// of a full-figure sweep with room for nested phases.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-/// Disables tracing (and releases the buffer) when dropped.
+/// Disables tracing on the thread that armed it (and releases the
+/// buffer) when dropped. Not `Send`: it must be dropped on that thread.
 #[derive(Debug)]
 pub struct TraceGuard {
-    _private: (),
+    _thread_bound: PhantomData<Rc<()>>,
 }
 
 impl Drop for TraceGuard {
     fn drop(&mut self) {
-        ENABLED.store(false, Ordering::Relaxed);
-        match ACTIVE.write() {
-            Ok(mut slot) => *slot = None,
-            Err(e) => *e.into_inner() = None,
-        }
+        ACTIVE.with(|slot| {
+            if let Ok(mut slot) = slot.try_borrow_mut() {
+                *slot = None;
+            }
+        });
     }
 }
 
-/// Installs a fresh ring buffer of `capacity` events and enables span
-/// recording until the returned guard is dropped. A second `start`
-/// replaces the first buffer (the earlier guard's drop then simply
-/// disables whatever is active — last activation wins, like the
-/// durability guard).
+/// Installs a fresh ring buffer of `capacity` events on the calling
+/// thread and records that thread's spans until the returned guard is
+/// dropped. Spans on other threads are not recorded. A second `start`
+/// on the same thread replaces the first buffer (the earlier guard's
+/// drop then simply disables whatever is active — last activation wins,
+/// like the durability guard).
 pub fn start(capacity: usize) -> TraceGuard {
-    let buffer = Arc::new(TraceBuffer::new(capacity));
-    match ACTIVE.write() {
-        Ok(mut slot) => *slot = Some(buffer),
-        Err(e) => *e.into_inner() = Some(buffer),
-    }
-    ENABLED.store(true, Ordering::Relaxed);
-    TraceGuard { _private: () }
+    let buffer = Rc::new(RefCell::new(TraceBuffer::new(capacity)));
+    ACTIVE.with(|slot| {
+        if let Ok(mut slot) = slot.try_borrow_mut() {
+            *slot = Some(buffer);
+        }
+    });
+    TraceGuard { _thread_bound: PhantomData }
 }
 
-/// Whether a trace buffer is currently recording.
+/// Whether a trace buffer is recording on the calling thread.
 pub fn active() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    current().is_some()
 }
 
-fn current() -> Option<Arc<TraceBuffer>> {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return None;
-    }
-    ACTIVE
-        .read()
-        .map(|slot| slot.as_ref().map(Arc::clone))
-        .unwrap_or_else(|e| e.into_inner().as_ref().map(Arc::clone))
+fn current() -> Option<SharedBuffer> {
+    ACTIVE.with(|slot| slot.try_borrow().ok().and_then(|slot| slot.clone()))
 }
 
-/// Freezes the active buffer into a [`Trace`] (`None` when tracing is
-/// off). The buffer keeps recording; snapshots are cheap copies.
+/// Freezes the calling thread's buffer into a [`Trace`] (`None` when
+/// tracing is off on this thread). The buffer keeps recording;
+/// snapshots are cheap copies.
 pub fn snapshot() -> Option<Trace> {
-    current().map(|b| b.freeze())
+    current().and_then(|b| b.try_borrow().ok().map(|b| b.freeze()))
 }
 
-/// Encodes the active buffer to the binary format (`None` when tracing
-/// is off).
+/// Encodes the calling thread's buffer to the binary format (`None`
+/// when tracing is off on this thread).
 pub fn encode() -> Option<Vec<u8>> {
     snapshot().map(|t| t.encode())
 }
 
 thread_local! {
+    /// This thread's trace buffer, installed by [`start`].
+    static ACTIVE: RefCell<Option<SharedBuffer>> = const { RefCell::new(None) };
     /// This thread's small dense id, assigned on first span.
     static THREAD_ID: u16 = {
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -466,7 +467,7 @@ pub struct SpanGuard {
 
 #[derive(Debug)]
 struct SpanState {
-    buffer: Arc<TraceBuffer>,
+    buffer: SharedBuffer,
     name: u16,
     thread: u16,
     depth: u8,
@@ -482,14 +483,17 @@ impl SpanGuard {
         let Some(buffer) = current() else {
             return SpanGuard { state: None };
         };
-        let name_id = buffer.intern(name);
+        let Ok(mut ring) = buffer.try_borrow_mut() else {
+            return SpanGuard { state: None };
+        };
+        let name_id = ring.intern(name);
         let thread = THREAD_ID.with(|id| *id);
         let depth = DEPTH.with(|d| {
             let depth = d.get();
             d.set(depth.saturating_add(1));
             depth
         });
-        buffer.record(RawEvent {
+        ring.record(RawEvent {
             kind: 0,
             depth,
             thread,
@@ -499,6 +503,7 @@ impl SpanGuard {
             tick: clock::tick(),
             wall_ns: clock::wall_ns(),
         });
+        drop(ring);
         SpanGuard {
             state: Some(SpanState { buffer, name: name_id, thread, depth, sweep_seq, index }),
         }
@@ -509,7 +514,8 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(state) = self.state.take() else { return };
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        state.buffer.record(RawEvent {
+        let Ok(mut ring) = state.buffer.try_borrow_mut() else { return };
+        ring.record(RawEvent {
             kind: 1,
             depth: state.depth,
             thread: state.thread,
@@ -549,12 +555,8 @@ macro_rules! span {
 mod tests {
     use super::*;
 
-    /// Trace tests share the process-global buffer; serialize them.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
     #[test]
     fn disabled_tracing_is_inert() {
-        let _lock = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(!active());
         let _span = SpanGuard::enter("inert", 0, 0);
         assert!(snapshot().is_none());
@@ -563,7 +565,6 @@ mod tests {
 
     #[test]
     fn spans_pair_up_and_round_trip_through_the_codec() {
-        let _lock = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         let _guard = start(256);
         {
             let _outer = SpanGuard::enter("test.outer", 3, 11);
@@ -593,7 +594,6 @@ mod tests {
 
     #[test]
     fn exit_is_recorded_during_unwinding() {
-        let _lock = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         let _guard = start(256);
         let caught = std::panic::catch_unwind(|| {
             let _span = SpanGuard::enter("test.panicky", 0, 5);
@@ -611,7 +611,6 @@ mod tests {
 
     #[test]
     fn ring_buffer_wraps_and_counts_drops() {
-        let _lock = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         let _guard = start(16);
         for i in 0..20u64 {
             let _span = SpanGuard::enter("test.wrap", 0, i);
@@ -621,6 +620,34 @@ mod tests {
         assert_eq!(trace.dropped, 24, "40 events through a 16-slot ring");
         // The survivors are the newest events.
         assert_eq!(trace.events.last().map(|e| e.index), Some(19));
+    }
+
+    #[test]
+    fn concurrent_traces_see_only_their_own_thread() {
+        // Both threads arm a buffer before either records, and both
+        // record before either snapshots, so a buffer shared between
+        // them would show the other thread's spans.
+        let armed = std::sync::Barrier::new(2);
+        let recorded = std::sync::Barrier::new(2);
+        let run = |name: &'static str| {
+            let _guard = start(256);
+            armed.wait();
+            for i in 0..50u64 {
+                let _span = SpanGuard::enter(name, 0, i);
+            }
+            recorded.wait();
+            (THREAD_ID.with(|id| *id), snapshot().unwrap())
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| run("test.thread_a"));
+            let b = scope.spawn(|| run("test.thread_b"));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for ((thread, trace), name) in [(a, "test.thread_a"), (b, "test.thread_b")] {
+            assert_eq!(trace.names, vec![name]);
+            assert_eq!(trace.events.len(), 100);
+            assert!(trace.events.iter().all(|e| e.thread == thread));
+        }
     }
 
     #[test]

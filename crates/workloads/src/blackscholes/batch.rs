@@ -2,8 +2,7 @@
 //!
 //! The paper's kernels are "throughput-driven, i.e., many independent
 //! inputs are being computed": this module prices whole portfolios,
-//! sequentially or with a crossbeam-scoped thread pool, mirroring the
-//! PARSEC workload shape.
+//! mirroring the PARSEC workload shape.
 
 use super::{OptionParams, OptionPrice};
 use crate::kernel::WorkloadError;
@@ -50,67 +49,14 @@ pub fn price_into(
     Ok(())
 }
 
-/// Prices every option with `threads` workers, preserving order.
-///
-/// ```
-/// use ucore_workloads::blackscholes::{batch, OptionParams};
-/// let portfolio: Vec<OptionParams> = (1..=100)
-///     .map(|i| OptionParams::new(100.0 + i as f32, 100.0, 0.05, 0.2, 1.0))
-///     .collect::<Result<_, _>>()?;
-/// let serial = batch::price_all(&portfolio);
-/// let parallel = batch::price_all_parallel(&portfolio, 4)?;
-/// assert_eq!(serial, parallel);
-/// # Ok::<(), ucore_workloads::WorkloadError>(())
-/// ```
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::ZeroSize`] for a zero thread count and
-/// [`WorkloadError::WorkerPanicked`] if a pricing worker dies.
-pub fn price_all_parallel(
-    portfolio: &[OptionParams],
-    threads: usize,
-) -> Result<Vec<OptionPrice>, WorkloadError> {
-    if threads == 0 {
-        return Err(WorkloadError::ZeroSize { what: "thread count" });
-    }
-    if portfolio.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut out = vec![OptionPrice { call: 0.0, put: 0.0 }; portfolio.len()];
-    let chunk = portfolio.len().div_ceil(threads);
-    crossbeam::scope(|scope| {
-        for (inputs, results) in portfolio.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
-                for (params, price) in inputs.iter().zip(results.iter_mut()) {
-                    *price = params.price();
-                }
-            });
-        }
-    })
-    .map_err(|_| WorkloadError::WorkerPanicked { kernel: "Black-Scholes batch pricing" })?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::random_portfolio;
 
     #[test]
-    fn parallel_matches_serial() {
-        let portfolio = random_portfolio(1_000, 17);
-        let serial = price_all(&portfolio);
-        for threads in [1usize, 2, 7, 32] {
-            let parallel = price_all_parallel(&portfolio, threads).unwrap();
-            assert_eq!(serial, parallel, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn empty_portfolio() {
         assert!(price_all(&[]).is_empty());
-        assert!(price_all_parallel(&[], 4).unwrap().is_empty());
         assert!(price_into(&[], &mut []).is_ok());
     }
 
@@ -127,19 +73,6 @@ mod tests {
         let portfolio = random_portfolio(4, 20);
         let mut out = vec![OptionPrice { call: 0.0, put: 0.0 }; 3];
         assert!(price_into(&portfolio, &mut out).is_err());
-    }
-
-    #[test]
-    fn zero_threads_rejected() {
-        let portfolio = random_portfolio(10, 1);
-        assert!(price_all_parallel(&portfolio, 0).is_err());
-    }
-
-    #[test]
-    fn more_threads_than_options() {
-        let portfolio = random_portfolio(3, 2);
-        let parallel = price_all_parallel(&portfolio, 64).unwrap();
-        assert_eq!(parallel, price_all(&portfolio));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! CUDA reference. This module implements the same closed-form pricer:
 //! the cumulative normal distribution via the Abramowitz–Stegun
 //! polynomial (the approximation PARSEC uses), the call/put formulas, and
-//! a throughput-driven batch evaluator with an optional thread pool.
+//! a throughput-driven batch evaluator.
 
 pub mod batch;
 pub mod math;

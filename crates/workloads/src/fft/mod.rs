@@ -10,23 +10,16 @@
 //! * [`radix4::Radix4Fft`] — iterative radix-4 for sizes that are powers
 //!   of four (fewer twiddle multiplies per butterfly, the first step
 //!   Spiral-class generators take);
-//! * [`splitradix::SplitRadixFft`] — the lowest-operation-count
-//!   classical decomposition (what Spiral's search converges to);
-//! * [`bluestein::BluesteinFft`] — arbitrary-length transforms via the
-//!   chirp-z reformulation;
 //! * [`Fft`] — a small planner that picks radix-4 when the size allows
 //!   and radix-2 otherwise, with forward and inverse directions;
 //! * [`reference`] — the pre-optimization butterfly loops, kept as
 //!   bit-for-bit differential oracles for the tuned transforms.
 
-pub mod batch;
-pub mod bluestein;
 pub mod dft;
 pub mod plan;
 pub mod radix2;
 pub mod radix4;
 pub mod reference;
-pub mod splitradix;
 
 use crate::kernel::WorkloadError;
 use serde::{Deserialize, Serialize};

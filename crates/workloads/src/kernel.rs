@@ -43,12 +43,6 @@ pub enum WorkloadError {
         /// Shape of the right operand as `(rows, cols)`.
         right: (usize, usize),
     },
-    /// A worker thread of a parallel kernel panicked; the output buffer
-    /// must be treated as poisoned and discarded.
-    WorkerPanicked {
-        /// The parallel kernel whose scope observed the panic.
-        kernel: &'static str,
-    },
 }
 
 impl fmt::Display for WorkloadError {
@@ -70,9 +64,6 @@ impl fmt::Display for WorkloadError {
                     "shape {}x{} does not match shape {}x{}",
                     left.0, left.1, right.0, right.1
                 )
-            }
-            WorkloadError::WorkerPanicked { kernel } => {
-                write!(f, "a {kernel} worker thread panicked")
             }
         }
     }

@@ -10,12 +10,12 @@
 //! * **Black-Scholes (BS)** — a rich mixture of arithmetic operators.
 //!
 //! Where the paper linked against MKL / CUBLAS / CUFFT / Spiral / PARSEC,
-//! this crate provides real Rust implementations — naive references,
-//! cache-blocked and multithreaded variants — so the FLOP counts, byte
-//! counts and arithmetic-intensity formulas the model depends on
-//! (footnotes 2 and 3 of the paper) are backed by runnable code and
-//! verified against executions, not just stated. All kernels use
-//! single-precision IEEE floating point, as in the paper.
+//! this crate provides real Rust implementations — one reference and
+//! one tuned kernel per workload, bit-identical to each other — so the
+//! FLOP counts, byte counts and arithmetic-intensity formulas the model
+//! depends on (footnotes 2 and 3 of the paper) are backed by runnable
+//! code and verified against executions, not just stated. All kernels
+//! use single-precision IEEE floating point, as in the paper.
 //!
 //! ```
 //! use ucore_workloads::{Workload, WorkloadKind};

@@ -38,8 +38,32 @@ pub fn multiply(a: &Matrix, b: &Matrix, block: usize) -> Result<Matrix, Workload
         return Err(WorkloadError::ZeroSize { what: "block size" });
     }
     let (m, n) = check_shapes(a, b)?;
+    let k_dim = a.cols();
+    let b_data = b.as_slice();
     let mut c = Matrix::zeros(m, n);
-    multiply_into(a, b, &mut c, block, 0, m);
+    let c_data = c.as_mut_slice();
+    for ii in (0..m).step_by(block) {
+        let i_hi = (ii + block).min(m);
+        for kk in (0..k_dim).step_by(block) {
+            let k_hi = (kk + block).min(k_dim);
+            for jj in (0..n).step_by(block) {
+                let j_hi = (jj + block).min(n);
+                for i in ii..i_hi {
+                    let a_tile = &a.row(i)[kk..k_hi];
+                    let c_tile = &mut c_data[i * n + jj..i * n + j_hi];
+                    for (k_off, &aik) in a_tile.iter().enumerate() {
+                        // ucore-lint: allow(float-eq): exact-zero sparsity skip; skipping only IEEE ±0.0 terms cannot change the sum
+                        if aik == 0.0 {
+                            continue;
+                        }
+                        let k = kk + k_off;
+                        let b_tile = &b_data[k * n + jj..k * n + j_hi];
+                        saxpy_row(c_tile, b_tile, aik);
+                    }
+                }
+            }
+        }
+    }
     Ok(c)
 }
 
@@ -61,74 +85,6 @@ fn saxpy_row(c: &mut [f32], b: &[f32], aik: f32) {
     }
     for (cv, bv) in c_quads.into_remainder().iter_mut().zip(b_quads.remainder()) {
         *cv += aik * *bv;
-    }
-}
-
-/// Multiplies the row range `[row_start, row_end)` of `A` into the same
-/// rows of `C`. Shared by the blocked and the parallel kernels.
-pub(crate) fn multiply_into(
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-    block: usize,
-    row_start: usize,
-    row_end: usize,
-) {
-    let n = b.cols();
-    let k_dim = a.cols();
-    let b_data = b.as_slice();
-    let c_data = c.as_mut_slice();
-    for ii in (row_start..row_end).step_by(block) {
-        let i_hi = (ii + block).min(row_end);
-        for kk in (0..k_dim).step_by(block) {
-            let k_hi = (kk + block).min(k_dim);
-            for jj in (0..n).step_by(block) {
-                let j_hi = (jj + block).min(n);
-                for i in ii..i_hi {
-                    let a_tile = &a.row(i)[kk..k_hi];
-                    let c_tile = &mut c_data[i * n + jj..i * n + j_hi];
-                    for (k_off, &aik) in a_tile.iter().enumerate() {
-                        // ucore-lint: allow(float-eq): exact-zero sparsity skip; skipping only IEEE ±0.0 terms cannot change the sum
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let k = kk + k_off;
-                        let b_tile = &b_data[k * n + jj..k * n + j_hi];
-                        saxpy_row(c_tile, b_tile, aik);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Shared work driver for parallel callers: like [`multiply`] but writes
-/// into a caller-provided output row range represented as a raw slice.
-pub(crate) fn multiply_rows_to_slice(
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut [f32],
-    block: usize,
-    row_start: usize,
-    row_end: usize,
-) {
-    let n = b.cols();
-    let k_dim = a.cols();
-    debug_assert_eq!(out.len(), (row_end - row_start) * n);
-    for kk in (0..k_dim).step_by(block) {
-        let k_hi = (kk + block).min(k_dim);
-        for i in row_start..row_end {
-            let out_base = (i - row_start) * n;
-            let out_row = &mut out[out_base..out_base + n];
-            let a_tile = &a.row(i)[kk..k_hi];
-            for (k_off, &aik) in a_tile.iter().enumerate() {
-                // ucore-lint: allow(float-eq): exact-zero sparsity skip; skipping only IEEE ±0.0 terms cannot change the sum
-                if aik == 0.0 {
-                    continue;
-                }
-                saxpy_row(out_row, b.row(kk + k_off), aik);
-            }
-        }
     }
 }
 
@@ -180,38 +136,6 @@ pub mod reference {
         }
         Ok(c)
     }
-
-    /// The original row-band driver backing the parallel kernel, for
-    /// differential tests of [`super::multiply_rows_to_slice`].
-    pub fn multiply_rows(
-        a: &Matrix,
-        b: &Matrix,
-        out: &mut [f32],
-        block: usize,
-        row_start: usize,
-        row_end: usize,
-    ) {
-        let n = b.cols();
-        let k_dim = a.cols();
-        debug_assert_eq!(out.len(), (row_end - row_start) * n);
-        for kk in (0..k_dim).step_by(block) {
-            let k_hi = (kk + block).min(k_dim);
-            for i in row_start..row_end {
-                let out_base = (i - row_start) * n;
-                for k in kk..k_hi {
-                    let aik = a.get(i, k);
-                    // ucore-lint: allow(float-eq): exact-zero sparsity skip; skipping only IEEE ±0.0 terms cannot change the sum
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_row = b.row(k);
-                    for j in 0..n {
-                        out[out_base + j] += aik * b_row[j];
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -262,20 +186,6 @@ mod tests {
     #[test]
     fn default_block_matches_paper() {
         assert_eq!(DEFAULT_BLOCK, 128);
-    }
-
-    #[test]
-    fn rows_to_slice_matches_full_product() {
-        let a = random_matrix(10, 8, 7);
-        let b = random_matrix(8, 6, 8);
-        let full = naive::multiply(&a, &b).unwrap();
-        let mut out = vec![0.0f32; 4 * 6];
-        multiply_rows_to_slice(&a, &b, &mut out, 4, 3, 7);
-        for (idx, &v) in out.iter().enumerate() {
-            let i = 3 + idx / 6;
-            let j = idx % 6;
-            assert!((v - full.get(i, j)).abs() < 1e-3);
-        }
     }
 
     #[test]

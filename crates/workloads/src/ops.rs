@@ -42,17 +42,6 @@ pub fn radix4_flops(n: usize) -> u64 {
     radix4_butterflies(n) * RADIX4_BUTTERFLY_FLOPS
 }
 
-/// The classical split-radix operation count, the lowest of the
-/// power-of-two decompositions: `4·N·log2 N − 6·N + 8` real FLOPs
-/// (Yavne 1968; the count Spiral's search converges to for small
-/// transforms).
-pub fn split_radix_flops(n: usize) -> u64 {
-    debug_assert!(n.is_power_of_two() && n >= 2);
-    let n64 = n as u64;
-    let log2 = u64::from(n.trailing_zeros());
-    4 * n64 * log2 - 6 * n64 + 8
-}
-
 /// Exact FLOPs of the naive `m×k` by `k×n` matrix product: one multiply
 /// and one add per inner step.
 pub fn mmm_flops(m: usize, k: usize, n: usize) -> u64 {
@@ -109,19 +98,6 @@ mod tests {
     #[test]
     fn black_scholes_count_matches_the_advertised_constant() {
         assert_eq!(black_scholes_ops() as f64, FLOPS_PER_OPTION);
-    }
-
-    #[test]
-    fn split_radix_is_the_cheapest_decomposition() {
-        for &n in &[8usize, 64, 1024, 1 << 14] {
-            let sr = split_radix_flops(n);
-            assert!(sr < radix2_flops(n), "n = {n}");
-            if n.trailing_zeros() % 2 == 0 {
-                assert!(sr < radix4_flops(n), "n = {n}");
-            }
-        }
-        // The canonical small case: N = 8 costs 4*8*3 - 48 + 8 = 56.
-        assert_eq!(split_radix_flops(8), 56);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use ucore_workloads::blackscholes::OptionParams;
 use ucore_workloads::fft::{dft, Complex, Direction, Fft};
-use ucore_workloads::mmm::{blocked, naive, parallel, Matrix};
+use ucore_workloads::mmm::{blocked, naive, Matrix};
 use ucore_workloads::Workload;
 
 fn complex_vec(len: usize) -> impl Strategy<Value = Vec<Complex>> {
@@ -61,17 +61,6 @@ proptest! {
         let tuned = blocked::multiply(&a, &b, block).unwrap();
         let reference = naive::multiply(&a, &b).unwrap();
         prop_assert!(tuned.max_abs_diff(&reference) < 1e-3);
-    }
-
-    #[test]
-    fn parallel_mmm_matches_naive(
-        a in matrix(8, 8),
-        b in matrix(8, 8),
-        threads in 1usize..9,
-    ) {
-        let par = parallel::multiply(&a, &b, 4, threads).unwrap();
-        let reference = naive::multiply(&a, &b).unwrap();
-        prop_assert!(par.max_abs_diff(&reference) < 1e-3);
     }
 
     #[test]
