@@ -384,3 +384,22 @@ fn stats_surface_dropped_failures_beyond_the_log_cap() {
     assert!(err.contains("70 failed"), "{err}");
     assert!(err.contains("failure log: 64 retained (cap 64), 6 dropped"), "{err}");
 }
+
+#[test]
+fn unparsable_fault_plan_warns_once_per_sweep_even_when_journaling() {
+    // The plan is resolved once per sweep; journal appends reuse it
+    // rather than re-reading the environment for every point.
+    let journal = scratch("bogus-plan.jsonl");
+    let out = repro_with_fault(
+        &["--journal", journal.to_str().unwrap(), "--json", "figure-6"],
+        "bogus",
+    );
+    let _ = std::fs::remove_file(&journal);
+    assert!(out.status.success(), "an ignored plan never fails the run");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(
+        err.matches("UCORE_FAULT_INJECT ignored").count(),
+        1,
+        "one sweep, one warning: {err}"
+    );
+}

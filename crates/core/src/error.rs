@@ -79,7 +79,7 @@ impl Error for ModelError {}
 
 /// A coarse classification of model errors, used by callers that handle
 /// whole classes uniformly (e.g. the sweep engine treats every
-/// `Infeasibility` as an expected [`Outcome`], and everything else as a
+/// `Infeasibility` as an expected `Outcome`, and everything else as a
 /// validation failure at an ingress boundary).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorCategory {

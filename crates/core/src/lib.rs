@@ -47,6 +47,12 @@
 //! power values are relative to the active power of a BCE core, and all
 //! bandwidth values are relative to the compulsory bandwidth of the
 //! workload running on one BCE.
+//!
+//! Two modules exist as independent checks on the model rather than as
+//! figure inputs: [`hillmarty`] reproduces Hill and Marty's published
+//! numbers, and [`mix`] is a second formulation of the optimal area
+//! split that `tests/portfolio_equiv.rs` holds the Figure 11
+//! [`portfolio`] allocator to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,17 +64,13 @@ pub mod bounds;
 pub mod budget;
 pub mod cache;
 pub mod chip;
-pub mod critical;
 pub mod energy;
 pub mod error;
-pub mod gustafson;
 pub mod hillmarty;
 pub mod metrics;
 pub mod mix;
 pub mod optimize;
 pub mod portfolio;
-pub mod powersave;
-pub mod profile;
 pub mod segments;
 pub mod seq;
 pub mod speedup;
@@ -79,16 +81,12 @@ pub use bounds::{BoundSet, Constraint, Infeasibility, Limiter};
 pub use budget::Budgets;
 pub use cache::{CacheStats, EvalCache, EvalKey, F64Key};
 pub use chip::{ChipSpec, DesignPoint, Evaluation};
-pub use critical::CriticalSectionWorkload;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::{ErrorCategory, ModelError};
-pub use gustafson::scaled_speedup;
 pub use metrics::{energy_delay_product, perf_per_watt};
 pub use mix::{MixedChip, UCorePartition};
 pub use optimize::{Objective, OptimalDesign, Optimizer};
 pub use portfolio::{Allocation, PortfolioChip};
-pub use powersave::{min_power_for_target, IsoPerformanceDesign};
-pub use profile::{ParallelismProfile, Phase, ProfileOptimum};
 pub use segments::{Segment, SegmentedWorkload, WEIGHT_SUM_TOLERANCE};
 pub use seq::{PollackLaw, SequentialLaw, SerialPowerLaw, DEFAULT_ALPHA, SCENARIO_ALPHA};
 pub use speedup::{

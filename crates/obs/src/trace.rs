@@ -16,7 +16,7 @@
 //! boundary (the fault-injection crossover suite asserts this).
 //!
 //! Events are keyed by `(sweep_seq, index, depth)` and carry two
-//! timestamps from [`clock`](crate::clock): the global monotonic tick
+//! timestamps from [`clock`]: the global monotonic tick
 //! (total order, deterministic structure) and wall-clock nanoseconds
 //! (observability-only payload). When the buffer wraps, the oldest
 //! events are overwritten and counted in [`Trace::dropped`] — profiles

@@ -6,7 +6,7 @@
 //! subsequent [`sweep`](crate::sweep::sweep) consults:
 //!
 //! * **Journal** — each completed point is appended to the configured
-//!   [`journal`](crate::journal) file, so a killed run can be resumed.
+//!   [`journal`] file, so a killed run can be resumed.
 //! * **Resume** — the journal of a previous (interrupted) run is
 //!   replayed up front; points whose `(sweep, index, fingerprint)`
 //!   matches a journaled record are *not* re-evaluated, and the figure
@@ -15,10 +15,7 @@
 //! * **Watchdog** — a per-point deadline. The evaluation path calls
 //!   [`watchdog_checkpoint`] cooperatively; a point past its budget is
 //!   converted to a contained `Failed` outcome with a deterministic
-//!   timeout message instead of hanging the figure. The parallel worker
-//!   loop additionally runs a stall *detector* that warns on stderr
-//!   about points overstaying their deadline (observability only — it
-//!   never alters results).
+//!   timeout message instead of hanging the figure.
 //! * **Retry** — failed points are retried up to a bounded number of
 //!   attempts with exponential backoff and *deterministic* jitter
 //!   ([`backoff_delay`], keyed on submission index and attempt, no
@@ -27,6 +24,7 @@
 //! All of this is off by default: with no active configuration a sweep
 //! behaves exactly as before this module existed.
 
+use crate::faultinject::{Fault, FaultPlan};
 use crate::journal::{
     self, JournalError, JournalRecord, JournalWriter, ReplayLookup, ReplayMap, ReplayReport,
 };
@@ -153,18 +151,18 @@ impl DurabilityContext {
 
     /// Appends one completed point. Write failures disable journaling
     /// for the rest of the run with a single stderr warning. A planned
-    /// `enospc@i` / `eio@i` disk fault for this record's submission
-    /// index fails the append with a synthesized I/O error, exercising
-    /// exactly this degradation path.
-    pub(crate) fn append(&self, record: &JournalRecord) {
+    /// `enospc@i` / `eio@i` disk fault in the sweep's `plan` for this
+    /// record's submission index fails the append with a synthesized
+    /// I/O error, exercising exactly this degradation path.
+    pub(crate) fn append(&self, record: &JournalRecord, plan: Option<&FaultPlan>) {
         if self.journal_broken.load(Ordering::Relaxed) {
             return;
         }
         let Some(writer) = &self.writer else { return };
         let mut writer = writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let injected = crate::faultinject::current_plan()
+        let injected = plan
             .and_then(|plan| plan.fault_at(record.index))
-            .and_then(crate::faultinject::Fault::disk_error);
+            .and_then(Fault::disk_error);
         let outcome = match injected {
             Some(e) => Err(JournalError::Io(e)),
             // ucore-lint: allow(lock-discipline): the writer mutex exists to serialize exactly this append+fsync; contenders queue behind the disk write by design (§11)

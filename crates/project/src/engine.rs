@@ -353,7 +353,7 @@ impl ProjectionEngine {
     ///
     /// Returns `None` when the column has no published U-core for the
     /// device, and always for portfolio designs — they are evaluated by
-    /// [`ProjectionEngine::portfolio_point`], not the single-U-core
+    /// `ProjectionEngine::portfolio_point`, not the single-U-core
     /// optimizer.
     pub fn chip_spec(&self, design: DesignId, column: WorkloadColumn) -> Option<ChipSpec> {
         let spec = match design {

@@ -77,7 +77,6 @@
 
 pub mod contain;
 pub mod crossover;
-pub mod designspace;
 pub mod durability;
 pub mod engine;
 pub mod faultinject;
@@ -88,11 +87,9 @@ pub mod results;
 pub mod scenario;
 pub mod shard;
 pub mod sweep;
-pub mod uncertainty;
 
 pub use contain::contain;
 pub use crossover::{f_crossover, node_crossover, paper_crossovers, CrossoverRecord};
-pub use designspace::{bandwidth_wall_mu, required_mu, DesignSpaceCell, DesignSpaceMap};
 pub use durability::{
     arm_request_deadline, backoff_delay, durability_totals, request_deadline_expired,
     watchdog_checkpoint, DurabilityConfig, DurabilityError, DurabilityGuard,
@@ -116,4 +113,3 @@ pub use sweep::{
     FailureDiagnostic, Outcome, OutcomeTotals, SweepConfig, SweepPoint, SweepResult,
     SweepStats, MAX_RETAINED_FAILURES,
 };
-pub use uncertainty::{speedup_interval, InputUncertainty, SpeedupInterval};

@@ -19,7 +19,7 @@
 //!
 //! Every point evaluates inside [`contain`](crate::contain()): a panic —
 //! a model bug on a pathological corner of the design space, or a fault
-//! injected by [`faultinject`](crate::faultinject) — degrades that one
+//! injected by [`faultinject`] — degrades that one
 //! point to [`Outcome::Failed`] instead of aborting the sweep. The
 //! containment guarantees are:
 //!
@@ -192,9 +192,9 @@ pub struct OutcomeTotals {
 }
 
 /// The process-wide outcome totals (the `repro --stats` /
-/// `--max-failures` counters) — since ISSUE 5 a typed view of the
-/// `points.ok` / `points.infeasible` / `points.failed` registry
-/// counters (see [`crate::obs`] for the metric-name contract).
+/// `--max-failures` counters) — a typed view of the `points.ok` /
+/// `points.infeasible` / `points.failed` registry counters (see the
+/// private `crate::obs` module for the metric-name contract).
 pub fn outcome_totals() -> OutcomeTotals {
     let m = obs::metrics();
     OutcomeTotals {
@@ -480,13 +480,14 @@ fn resolve_point(
     }
     if let (Some(d), Some(fp)) = (dur, fingerprint) {
         if d.journaling() {
-            d.append(&JournalRecord {
+            let record = JournalRecord {
                 sweep_seq,
                 index,
                 fingerprint: fp,
                 retries: attempt,
                 outcome: outcome.clone(),
-            });
+            };
+            d.append(&record, plan);
         }
     }
     PointResolution { outcome, retries: attempt, replayed: false, skipped: false }

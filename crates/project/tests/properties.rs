@@ -1,14 +1,10 @@
-//! Property-based tests over the projection engine and design-space
-//! tools.
+//! Property-based tests over the projection engine.
 
 use proptest::prelude::*;
 use ucore_calibrate::WorkloadColumn;
-use ucore_core::{Budgets, ParallelFraction};
+use ucore_core::ParallelFraction;
 use ucore_devices::DeviceId;
-use ucore_project::{
-    bandwidth_wall_mu, required_mu, DesignId, DesignSpaceMap, ProjectionEngine,
-    Scenario,
-};
+use ucore_project::{DesignId, ProjectionEngine, Scenario};
 
 fn engine() -> ProjectionEngine {
     ProjectionEngine::new(Scenario::baseline()).expect("shipped data calibrates")
@@ -74,51 +70,6 @@ proptest! {
             for (pb, pr) in b.iter().zip(&r) {
                 prop_assert!(pr.speedup + 1e-9 >= pb.speedup, "{design} {:?}", pb.node);
             }
-        }
-    }
-
-    #[test]
-    fn required_mu_monotone_in_target(
-        phi in 0.2f64..2.0,
-        t1 in 2.0f64..10.0,
-    ) {
-        let budgets = Budgets::new(19.0, 8.7, 45.0).unwrap();
-        let f = ParallelFraction::new(0.99).unwrap();
-        let t2 = t1 * 1.5;
-        let m1 = required_mu(&budgets, f, phi, t1);
-        let m2 = required_mu(&budgets, f, phi, t2);
-        if let (Some(m1), Some(m2)) = (m1, m2) {
-            prop_assert!(m2 + 1e-6 >= m1, "target {t1}->{t2}: mu {m1} -> {m2}");
-        }
-    }
-
-    #[test]
-    fn design_space_map_cells_match_axes(
-        steps in 2usize..7,
-    ) {
-        let budgets = Budgets::new(19.0, 8.7, 45.0).unwrap();
-        let f = ParallelFraction::new(0.9).unwrap();
-        let map = DesignSpaceMap::sweep(&budgets, f, (0.5, 50.0), (0.2, 5.0), steps).unwrap();
-        prop_assert_eq!(map.cells().len(), steps * steps);
-        for (i, cell) in map.cells().iter().enumerate() {
-            let mu = map.mu_values()[i % steps];
-            let phi = map.phi_values()[i / steps];
-            prop_assert_eq!(cell.mu, mu);
-            prop_assert_eq!(cell.phi, phi);
-        }
-    }
-
-    #[test]
-    fn bandwidth_wall_shrinks_with_tighter_bandwidth(
-        phi in 0.3f64..1.0,
-    ) {
-        let f = ParallelFraction::new(0.99).unwrap();
-        let tight = Budgets::new(19.0, 8.7, 20.0).unwrap();
-        let loose = Budgets::new(19.0, 8.7, 200.0).unwrap();
-        let wall_tight = bandwidth_wall_mu(&tight, f, phi);
-        let wall_loose = bandwidth_wall_mu(&loose, f, phi);
-        if let (Some(t), Some(l)) = (wall_tight, wall_loose) {
-            prop_assert!(t <= l * 1.001, "tight {t} vs loose {l}");
         }
     }
 }

@@ -19,12 +19,10 @@
 
 pub mod chart;
 pub mod csv;
-pub mod heatmap;
 pub mod markdown;
 pub mod table;
 
 pub use chart::Chart;
 pub use csv::CsvWriter;
-pub use heatmap::Heatmap;
 pub use markdown::MarkdownTable;
 pub use table::{Align, Table};

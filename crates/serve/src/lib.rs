@@ -27,8 +27,8 @@
 //!   byte-identical output.
 //!
 //! Every request outcome is counted in the process-wide [`ucore_obs`]
-//! registry ([`obs`] documents the `serve.*` contract), rendered on
-//! `GET /metrics`.
+//! registry (the private `obs` module documents the `serve.*`
+//! contract), rendered on `GET /metrics`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,9 +19,10 @@
 //! * [`probe`] — a simulated current probe with deterministic noise and
 //!   steady-state averaging;
 //! * [`counters`] — simulated off-chip bandwidth counters, including the
-//!   GTX285's on-chip-capacity transition at FFT size 2^12 (Figure 4);
-//! * [`asic`] — a stand-in for the Synopsys + Cacti flow: analytical
-//!   area/power estimates for the custom-logic cores and their SRAM.
+//!   GTX285's on-chip-capacity transition at FFT size 2^12 (Figure 4).
+//!
+//! The ASIC cells have no synthesis-flow stand-in: like every other
+//! device, they come from the published observables in [`data`].
 //!
 //! Everything downstream (calibration, projection) consumes only the
 //! observables this lab produces, exactly as the paper's model consumes
@@ -34,21 +35,14 @@
 // contract at the token level).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod asic;
 pub mod counters;
 pub mod data;
-pub mod dram;
 pub mod measure;
-pub mod pipeline;
 pub mod power;
 pub mod probe;
 pub mod roofline;
-pub mod trace;
 
 pub use data::{DeviceWorkloadData, MeasuredTable};
-pub use dram::{memory_system, DramKind, MemorySystem};
 pub use measure::{Measurement, SimLab, SimLabError};
-pub use pipeline::StreamingPipeline;
 pub use power::{PowerBreakdown, PowerModel};
 pub use roofline::{Roofline, RooflineVerdict};
-pub use trace::{synthesize_trace, Segment, Trace};

@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use ucore_devices::DeviceId;
 use ucore_simdev::power::PowerModel;
 use ucore_simdev::probe::CurrentProbe;
-use ucore_simdev::trace::{synthesize_trace, Segment, Trace};
 use ucore_simdev::{data, Roofline};
 
 fn any_device() -> impl Strategy<Value = DeviceId> {
@@ -82,38 +81,6 @@ proptest! {
     }
 
     #[test]
-    fn trace_estimator_is_exact_on_synthesized_traces(
-        f in 0.0f64..=1.0,
-        segments in 2usize..400,
-        width in 2u32..256,
-        seed in 0u64..500,
-    ) {
-        let trace = synthesize_trace(f, segments, width, seed);
-        // Renormalization targets f exactly, up to the granularity of
-        // whole segments at the extremes.
-        let est = trace.estimate_f();
-        prop_assert!((est - f).abs() < 1.0 / segments as f64 + 1e-9,
-            "f = {f}, est = {est}");
-    }
-
-    #[test]
-    fn trace_histogram_is_a_distribution(
-        f in 0.0f64..=1.0,
-        segments in 2usize..200,
-        seed in 0u64..100,
-    ) {
-        let trace = synthesize_trace(f, segments, 8, seed);
-        let hist = trace.width_histogram();
-        let total: f64 = hist.iter().map(|(_, t)| t).sum();
-        if !trace.segments().is_empty() {
-            prop_assert!((total - 1.0).abs() < 1e-9);
-        }
-        for (_, share) in hist {
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&share));
-        }
-    }
-
-    #[test]
     fn fft_data_monotone_metadata(
         log2 in 4u32..=20,
     ) {
@@ -128,18 +95,5 @@ proptest! {
             let area = d.area_mm2();
             prop_assert!((d.perf / area - d.perf_per_mm2).abs() / d.perf_per_mm2 < 1e-9);
         }
-    }
-
-    #[test]
-    fn manual_trace_estimates_match_hand_computation(
-        serial in 0.1f64..10.0,
-        parallel in 0.1f64..10.0,
-    ) {
-        let trace = Trace::new(vec![
-            Segment { duration: serial, width: 1 },
-            Segment { duration: parallel, width: 16 },
-        ]);
-        let expect = parallel / (serial + parallel);
-        prop_assert!((trace.estimate_f() - expect).abs() < 1e-12);
     }
 }

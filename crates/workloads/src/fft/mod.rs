@@ -12,7 +12,7 @@
 //!   Spiral-class generators take);
 //! * [`Fft`] — a small planner that picks radix-4 when the size allows
 //!   and radix-2 otherwise, with forward and inverse directions;
-//! * [`reference`] — the pre-optimization butterfly loops, kept as
+//! * [`reference`](mod@reference) — the pre-optimization butterfly loops, kept as
 //!   bit-for-bit differential oracles for the tuned transforms.
 
 pub mod dft;

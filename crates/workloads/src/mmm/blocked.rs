@@ -4,7 +4,7 @@
 //! unrolled `c[j] += a_ik * b[j]` update, so the compiler can keep the
 //! accumulators in registers and hoist every bounds check out of the
 //! innermost loop. The pre-optimization indexed loops are kept verbatim
-//! in [`reference`]; because both versions perform exactly one fused
+//! in [`reference`](mod@reference); because both versions perform exactly one fused
 //! update per output element in the same `(ii, kk, jj, i, k)` order, the
 //! results are bit-identical (see `tests/differential.rs`).
 

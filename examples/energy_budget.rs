@@ -3,16 +3,12 @@
 //! objective instead of maximizing performance?"
 //!
 //! This example optimizes the same chips for maximum speedup, minimum
-//! energy, and minimum energy-delay product, and then runs the §6.3
-//! iso-performance study: match a CMP's performance with a U-core chip
-//! and bank the power difference.
+//! energy, and minimum energy-delay product.
 //!
 //! Run with `cargo run --example energy_budget`.
 
 use ucore::calibrate::{Table5, WorkloadColumn};
-use ucore::model::{
-    min_power_for_target, Budgets, ChipSpec, Objective, Optimizer, ParallelFraction,
-};
+use ucore::model::{Budgets, ChipSpec, Objective, Optimizer, ParallelFraction};
 use ucore::report::{Align, Table};
 use ucore_devices::DeviceId;
 
@@ -75,23 +71,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!("{table}");
-
-    // §6.3: match the CMP's speedup with the ASIC chip at minimum power.
-    let cmp = ChipSpec::asymmetric_offload();
-    let cmp_best = Optimizer::paper_default().optimize(&cmp, &budgets, f)?;
-    let target = cmp_best.evaluation.speedup;
-    let asic_spec = &chips[2].1;
-    let iso = min_power_for_target(asic_spec, &budgets, f, target)?;
-    let cmp_power = cmp_best
-        .evaluation
-        .serial_power
-        .max(cmp_best.evaluation.parallel_power);
-    println!(
-        "iso-performance: matching the CMP's {target} costs the ASIC chip {:.2} BCE of \
-         peak power vs the CMP's {:.2} — a {:.1}x reduction",
-        iso.peak_power,
-        cmp_power,
-        cmp_power / iso.peak_power
-    );
     Ok(())
 }

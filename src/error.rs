@@ -1,12 +1,11 @@
 //! The workspace-wide error taxonomy.
 //!
 //! Every subsystem reports failures through its own typed error —
-//! [`ModelError`](ucore_core::ModelError) at the model layer,
-//! [`DeviceError`](ucore_devices::DeviceError) /
-//! [`RoadmapError`](ucore_itrs::RoadmapError) at the data-table ingress
-//! boundaries, and so on. [`UcoreError`] is the union of all of them:
-//! the type application code holds when it crosses subsystems, with
-//! `From` conversions so `?` composes across layers.
+//! [`ModelError`] at the model layer, [`DeviceError`] /
+//! [`RoadmapError`] at the data-table ingress boundaries, and so on.
+//! [`UcoreError`] is the union of all of them: the type application
+//! code holds when it crosses subsystems, with `From` conversions so
+//! `?` composes across layers.
 //!
 //! ```
 //! use ucore::error::UcoreError;

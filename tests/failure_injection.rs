@@ -120,23 +120,6 @@ fn infeasible_nodes_are_omitted_not_fabricated() {
 }
 
 #[test]
-fn monte_carlo_with_impossible_inputs_fails_loudly() {
-    use ucore::project::{speedup_interval, InputUncertainty};
-    let ucore = UCore::new(2.0, 1.0).unwrap();
-    let budgets = Budgets::new(19.0, 8.7, 45.0).unwrap();
-    let bad = InputUncertainty { mu_rel: f64::NAN, phi_rel: 0.0, bandwidth_rel: 0.0, power_rel: 0.0 };
-    assert!(speedup_interval(
-        ucore,
-        &budgets,
-        ParallelFraction::new(0.9).unwrap(),
-        &bad,
-        10,
-        1
-    )
-    .is_err());
-}
-
-#[test]
 fn sweep_contains_injected_panics_behind_the_facade() {
     // The whole fault-containment stack is reachable through the `ucore`
     // facade: inject a panic at one design point, and the sweep still
