@@ -179,26 +179,20 @@ pub fn render_figure(fig: &FigureData) -> String {
 /// Exports a projection figure as CSV: one row per
 /// `(f, design, node)` point with the speedup, energy and limiter.
 pub fn figure_csv(fig: &FigureData) -> String {
-    let mut w = ucore_report::CsvWriter::new(vec![
-        "figure".into(),
-        "f".into(),
-        "design".into(),
-        "node".into(),
-        "speedup".into(),
-        "energy".into(),
-        "limiter".into(),
+    let mut w = ucore_report::CsvWriter::new(&[
+        "figure", "f", "design", "node", "speedup", "energy", "limiter",
     ]);
     for panel in &fig.panels {
         for series in &panel.series {
             for p in &series.points {
-                w.row(vec![
-                    fig.id.clone(),
-                    panel.f.to_string(),
-                    series.label.clone(),
-                    p.node.to_string(),
-                    format!("{:.6}", p.speedup),
-                    format!("{:.6}", p.energy),
-                    format!("{:?}", p.limiter).to_lowercase(),
+                w.row(&[
+                    &fig.id,
+                    &panel.f,
+                    &series.label,
+                    &p.node,
+                    &format_args!("{:.6}", p.speedup),
+                    &format_args!("{:.6}", p.energy),
+                    &p.limiter,
                 ]);
             }
         }

@@ -127,7 +127,12 @@ pub fn projection(which: &str) -> Result<ucore_project::FigureData, RenderError>
 /// [`RenderError::Model`] when the projection, calibration, or JSON
 /// serialization fails.
 pub fn render(target: &Target) -> Result<Rendered, RenderError> {
-    let no_health = |body: String| Rendered { body, points_failed: None };
+    // Every body ends in a newline, pushed in place so that the body is
+    // never copied.
+    let rendered = |mut body: String, points_failed: Option<u64>| {
+        body.push('\n');
+        Rendered { body, points_failed }
+    };
     match target {
         Target::Table(n) => {
             let body = match n.as_str() {
@@ -139,7 +144,7 @@ pub fn render(target: &Target) -> Result<Rendered, RenderError> {
                 "6" => tables::table6(),
                 other => return Err(RenderError::UnknownTable(other.to_string())),
             };
-            Ok(no_health(format!("{body}\n")))
+            Ok(rendered(body, None))
         }
         Target::Figure(n) => {
             let body = match n.as_str() {
@@ -155,29 +160,23 @@ pub fn render(target: &Target) -> Result<Rendered, RenderError> {
                 "11" => figures::figure11().map_err(model_error)?,
                 other => return Err(RenderError::UnknownFigure(other.to_string())),
             };
-            Ok(no_health(format!("{body}\n")))
+            Ok(rendered(body, None))
         }
         Target::Scenario(n) => {
             let num: u8 = n
                 .parse()
                 .map_err(|_| RenderError::UnknownScenario(n.clone()))?;
             let body = scenarios::scenario(num).map_err(model_error)?;
-            Ok(no_health(format!("{body}\n")))
+            Ok(rendered(body, None))
         }
         Target::Json(which) => {
             let fig = projection(which)?;
             let json = serde_json::to_string_pretty(&fig).map_err(model_error)?;
-            Ok(Rendered {
-                body: format!("{json}\n"),
-                points_failed: Some(fig.health.points_failed as u64),
-            })
+            Ok(rendered(json, Some(fig.health.points_failed as u64)))
         }
         Target::Csv(which) => {
             let fig = projection(which)?;
-            Ok(Rendered {
-                body: format!("{}\n", figures::figure_csv(&fig)),
-                points_failed: Some(fig.health.points_failed as u64),
-            })
+            Ok(rendered(figures::figure_csv(&fig), Some(fig.health.points_failed as u64)))
         }
     }
 }

@@ -9,11 +9,12 @@
 //! including a shed or a contained panic — is well-formed JSON, never a
 //! dropped connection or an empty reply.
 
+use serde_json::serde;
 use std::fmt;
 
 /// A taxonomy-coded serving failure, rendered as an HTTP error
 /// response with a structured JSON body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct ServeError {
     /// Stable machine-readable code (`server.overloaded`, …).
     pub code: &'static str,
@@ -108,15 +109,22 @@ impl ServeError {
         reason_phrase(self.status)
     }
 
-    /// The structured JSON response body (newline-terminated).
+    /// The structured JSON response body (newline-terminated):
+    /// `{"error":{"code":…,"status":…,"message":…}}`.
     pub fn body(&self) -> String {
-        format!(
-            "{{\"error\":{{\"code\":\"{}\",\"status\":{},\"message\":\"{}\"}}}}\n",
-            self.code,
-            self.status,
-            json_escape(&self.message)
-        )
+        // The vendored serializer never fails; its `Result` mirrors the
+        // real API.
+        let mut body =
+            serde_json::to_string(&ErrorBody { error: self.clone() }).unwrap_or_default();
+        body.push('\n');
+        body
     }
+}
+
+/// The JSON object an error response carries.
+#[derive(serde::Serialize)]
+struct ErrorBody {
+    error: ServeError,
 }
 
 impl fmt::Display for ServeError {
@@ -141,25 +149,6 @@ pub fn reason_phrase(status: u16) -> &'static str {
         504 => "Gateway Timeout",
         _ => "Unknown",
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -199,7 +188,10 @@ mod tests {
 
     #[test]
     fn escape_handles_control_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd\te\r"), "a\\\"b\\\\c\\nd\\te\\r");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(
+            ServeError::malformed("a\"b\\c\nd\te\r\u{1} é").body(),
+            "{\"error\":{\"code\":\"http.malformed\",\"status\":400,\
+             \"message\":\"a\\\"b\\\\c\\nd\\te\\r\\u0001 é\"}}\n"
+        );
     }
 }
