@@ -19,7 +19,8 @@
 //! compares against them (warn at a tight tolerance, fail at a loose
 //! one) so raw-speed regressions are caught while machine noise is not.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
+use serde_json::Value;
 use std::fmt;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -81,7 +82,7 @@ pub fn budget_from_env() -> Duration {
 }
 
 /// One measured benchmark. Field order is the JSON key order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BenchEntry {
     /// Stable benchmark id, mirroring the `cargo bench` label.
     pub id: String,
@@ -94,7 +95,7 @@ pub struct BenchEntry {
 }
 
 /// A reduced bench run. Field order is the JSON key order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BenchSnapshot {
     /// The schema version that wrote this snapshot.
     pub schema_version: u32,
@@ -125,10 +126,44 @@ impl BenchSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Parse`] on malformed JSON.
+    /// Returns [`SnapshotError::Parse`] on malformed JSON, or when a field
+    /// is missing, has the wrong type, or is out of its type's range.
     pub fn from_slice(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        serde_json::from_slice(bytes).map_err(|e| SnapshotError::Parse(e.to_string()))
+        let doc: Value =
+            serde_json::from_slice(bytes).map_err(|e| SnapshotError::Parse(e.to_string()))?;
+        Ok(BenchSnapshot {
+            schema_version: field(&doc, "schema_version", as_u32)?,
+            topic: field(&doc, "topic", Value::as_str)?.to_string(),
+            time_unit: field(&doc, "time_unit", Value::as_str)?.to_string(),
+            entries: field(&doc, "entries", Value::as_array)?
+                .iter()
+                .map(|entry| {
+                    Ok(BenchEntry {
+                        id: field(entry, "id", Value::as_str)?.to_string(),
+                        median_ns: field(entry, "median_ns", Value::as_f64)?,
+                        iters: field(entry, "iters", Value::as_u64)?,
+                        samples: field(entry, "samples", as_u32)?,
+                    })
+                })
+                .collect::<Result<_, SnapshotError>>()?,
+        })
     }
+}
+
+/// Reads `object[key]` through `read`, or fails naming the field.
+fn field<'a, T>(
+    object: &'a Value,
+    key: &str,
+    read: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<T, SnapshotError> {
+    object
+        .get(key)
+        .and_then(read)
+        .ok_or_else(|| SnapshotError::Parse(format!("missing or mistyped field `{key}`")))
+}
+
+fn as_u32(value: &Value) -> Option<u32> {
+    value.as_u64().and_then(|n| u32::try_from(n).ok())
 }
 
 /// Why a snapshot could not be captured or compared.
@@ -698,6 +733,43 @@ mod tests {
         let s = snap("kernels", &[("a", 10.0), ("b", 20.5)]);
         let json = s.to_json().unwrap();
         assert_eq!(BenchSnapshot::from_slice(json.as_bytes()).unwrap(), s);
+    }
+
+    const ONE_ENTRY: &str = r#"{"schema_version":1,"topic":"kernels","time_unit":"ns","entries":[{"id":"a","median_ns":10.5,"iters":16,"samples":5}]}"#;
+
+    #[test]
+    fn malformed_snapshots_are_parse_errors() {
+        assert_eq!(
+            BenchSnapshot::from_slice(ONE_ENTRY.as_bytes()).unwrap(),
+            snap("kernels", &[("a", 10.5)])
+        );
+        for bad in [
+            ONE_ENTRY.replace(r#""topic":"kernels","#, ""),
+            ONE_ENTRY.replace(r#","samples":5"#, ""),
+            ONE_ENTRY.replace(r#""schema_version":1"#, r#""schema_version":"1""#),
+            ONE_ENTRY.replace(r#""median_ns":10.5"#, r#""median_ns":"fast""#),
+            "[]".to_string(),
+            format!("{ONE_ENTRY} x"),
+            ONE_ENTRY.replace(r#""iters":16"#, r#""iters":16.5"#),
+            ONE_ENTRY.replace(r#""samples":5"#, r#""samples":-1"#),
+            ONE_ENTRY.replace(r#""samples":5"#, r#""samples":4294967296"#),
+        ] {
+            let got = BenchSnapshot::from_slice(bad.as_bytes());
+            assert!(matches!(got, Err(SnapshotError::Parse(_))), "{bad}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn committed_snapshots_decode_and_rewrite_byte_identically() {
+        for topic in TOPICS {
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../..")
+                .join(file_name(topic));
+            let bytes = std::fs::read(&path).unwrap();
+            let snapshot = BenchSnapshot::from_slice(&bytes).unwrap();
+            assert_eq!(snapshot.topic, topic);
+            assert_eq!(snapshot.to_json().unwrap(), String::from_utf8(bytes).unwrap());
+        }
     }
 
     #[test]

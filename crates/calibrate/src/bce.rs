@@ -9,7 +9,7 @@
 
 use crate::params::{CALIBRATION_ALPHA, CALIBRATION_R};
 use crate::CalibrationError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ucore_devices::DeviceId;
 use ucore_simdev::SimLab;
 use ucore_workloads::Workload;
@@ -29,7 +29,7 @@ const I7_CORES: f64 = 4.0;
 /// assert!((bce.watts() - 11.5).abs() < 0.2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BceCalibration {
     workload: Workload,
     perf: f64,

@@ -1,6 +1,6 @@
 //! Footnote 1: deriving `(µ, φ)` from measured observables.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::error::Error;
 use std::fmt;
 use ucore_core::{ModelError, UCore};
@@ -89,7 +89,7 @@ pub fn derive_ucore(
     Ok(UCore::new(mu, phi)?)
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 /// The i7-derived BCE observables in area and energy terms, useful for
 /// reporting alongside Table 5.
 pub struct BceDensity {

@@ -1,7 +1,7 @@
 //! Table 5: the full `(µ, φ)` grid.
 
 use crate::params::{derive_ucore, CalibrationError, CALIBRATION_ALPHA, CALIBRATION_R};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use ucore_core::UCore;
 use ucore_devices::DeviceId;
@@ -9,7 +9,7 @@ use ucore_simdev::SimLab;
 use ucore_workloads::Workload;
 
 /// The five workload columns of Table 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum WorkloadColumn {
     /// Dense matrix multiplication.
     Mmm,
@@ -66,7 +66,7 @@ impl fmt::Display for WorkloadColumn {
 }
 
 /// One cell of Table 5.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Table5Row {
     /// The U-core device.
     pub device: DeviceId,
@@ -77,7 +77,7 @@ pub struct Table5Row {
 }
 
 /// The derived Table 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table5 {
     rows: Vec<Table5Row>,
 }

@@ -20,7 +20,7 @@ use crate::budget::Budgets;
 use crate::seq::SequentialLaw;
 use crate::chip::{ChipKind, ChipSpec};
 use crate::error::ModelError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The resource that determines how far a design can scale.
@@ -28,7 +28,7 @@ use std::fmt;
 /// Matches the visual encoding of the paper's projection figures: points
 /// joined by *dashed* lines are power-limited, by *solid* lines
 /// bandwidth-limited, and unconnected points are area-limited.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Limiter {
     /// The area budget `A` binds first (the chip is "full").
     Area,
@@ -76,7 +76,7 @@ impl Infeasibility {
 }
 
 /// One of the five constraint rows of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Constraint {
     /// `n ≤ A`.
     Area,
@@ -102,7 +102,7 @@ pub enum Constraint {
 /// assert!((bounds.n_max() - 9.4).abs() < 1e-9);
 /// # Ok::<(), ucore_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BoundSet {
     n_area: f64,
     n_power: f64,

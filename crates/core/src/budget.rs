@@ -1,7 +1,7 @@
 //! Chip resource budgets: area, power and off-chip bandwidth.
 
 use crate::error::{ensure_positive, ModelError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The three budgets that bound a design, all in BCE units:
@@ -22,7 +22,7 @@ use std::fmt;
 /// assert_eq!(b.area(), 19.0);
 /// # Ok::<(), ucore_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Budgets {
     area: f64,
     power: f64,

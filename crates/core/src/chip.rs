@@ -12,11 +12,11 @@ use crate::seq::{SequentialLaw, PollackLaw, SerialPowerLaw};
 use crate::speedup;
 use crate::ucore::UCore;
 use crate::units::{ParallelFraction, Speedup};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The machine organizations considered by the model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ChipKind {
     /// `n/r` identical cores of size `r` (Figure 1a).
     Symmetric,
@@ -65,17 +65,12 @@ impl fmt::Display for ChipKind {
 /// assert_eq!(spec.kind().label(), "HET");
 /// # Ok::<(), ucore_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ChipSpec {
     kind: ChipKind,
     law: PollackLaw,
     power_law: SerialPowerLaw,
-    #[serde(default = "default_bw_exponent")]
     bw_exponent: f64,
-}
-
-fn default_bw_exponent() -> f64 {
-    1.0
 }
 
 impl ChipSpec {
@@ -276,7 +271,7 @@ impl ChipSpec {
 }
 
 /// A fully specified design: a chip organization plus its `(n, r)` split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DesignPoint {
     /// The machine organization and laws.
     pub spec: ChipSpec,
@@ -308,7 +303,7 @@ impl DesignPoint {
 }
 
 /// The outcome of evaluating a design under budgets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Evaluation {
     /// Achieved speedup relative to one BCE.
     pub speedup: Speedup,

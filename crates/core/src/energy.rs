@@ -20,10 +20,10 @@ use crate::chip::ChipSpec;
 use crate::seq::SequentialLaw;
 use crate::error::{ensure_positive, ModelError};
 use crate::units::ParallelFraction;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Energy accounting for one workload execution on a design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EnergyBreakdown {
     /// Energy of the serial phase (BCE-energy units).
     pub serial: f64,
@@ -57,7 +57,7 @@ impl EnergyBreakdown {
 /// assert!((e.total() - 1.0).abs() < 1e-12);
 /// # Ok::<(), ucore_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EnergyModel {
     power_scale: f64,
 }

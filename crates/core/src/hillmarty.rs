@@ -16,10 +16,10 @@ use crate::error::ModelError;
 use crate::seq::PollackLaw;
 use crate::speedup::{asymmetric, dynamic, symmetric};
 use crate::units::ParallelFraction;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The best `(r, speedup)` of one Hill-Marty machine at a chip size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HillMartyOptimum {
     /// The optimal sequential-core size.
     pub r: f64,
@@ -28,7 +28,7 @@ pub struct HillMartyOptimum {
 }
 
 /// One of Hill and Marty's three machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum HillMartyMachine {
     /// `n/r` cores of size `r`.
     Symmetric,

@@ -12,11 +12,11 @@ use crate::error::{ensure_positive, ModelError};
 use crate::seq::{PollackLaw, SequentialLaw};
 use crate::ucore::UCore;
 use crate::units::{ParallelFraction, Speedup};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One fabric in a mixed chip: a U-core type, the share of the parallel
 /// area it occupies, and the share of parallel work routed to it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct UCorePartition {
     /// The U-core filling this region.
     pub ucore: UCore,
@@ -50,7 +50,7 @@ pub struct UCorePartition {
 /// assert!(chip.speedup(f)?.get() > 1.0);
 /// # Ok::<(), ucore_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MixedChip {
     n: f64,
     r: f64,

@@ -40,10 +40,10 @@ use crate::chip::{ChipSpec, Evaluation};
 use crate::energy::EnergyModel;
 use crate::error::{ensure_positive, ModelError};
 use crate::units::ParallelFraction;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What the optimizer maximizes or minimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Objective {
     /// Maximize speedup (the paper's objective).
     MaxSpeedup,
@@ -54,7 +54,7 @@ pub enum Objective {
 }
 
 /// The best design found by an [`Optimizer`] sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OptimalDesign {
     /// The evaluation of the winning design (speedup, limiter, `n`, `r`).
     pub evaluation: Evaluation,
@@ -74,7 +74,7 @@ pub struct OptimalDesign {
 /// assert!(best.evaluation.r >= 1.0 && best.evaluation.r <= 16.0);
 /// # Ok::<(), ucore_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Optimizer {
     r_min: f64,
     r_max: f64,

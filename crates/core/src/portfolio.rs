@@ -32,7 +32,7 @@ use crate::error::ModelError;
 use crate::segments::SegmentedWorkload;
 use crate::seq::{PollackLaw, SequentialLaw};
 use crate::units::Speedup;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A base multicore plus a portfolio of kernel-specific U-cores sharing
 /// the parallel area `n − r`.
@@ -47,7 +47,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((alloc.areas.iter().sum::<f64>() - 36.0).abs() < 1e-9);
 /// # Ok::<(), ucore_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PortfolioChip {
     n: f64,
     r: f64,
@@ -57,7 +57,7 @@ pub struct PortfolioChip {
 
 /// The result of an area allocation: per-segment areas (construction
 /// order, zero for zero-weight segments) and the resulting speedup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Allocation {
     /// Accelerator area per segment, in BCE.
     pub areas: Vec<f64>,

@@ -21,7 +21,7 @@
 use crate::error::ModelError;
 use crate::ucore::UCore;
 use crate::units::ParallelFraction;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How far `serial_weight + Σ w_k` may drift from 1 before the workload
 /// is rejected (same tolerance as [`crate::MixedChip`]'s share check).
@@ -37,7 +37,7 @@ pub const WEIGHT_SUM_TOLERANCE: f64 = 1e-6;
 /// assert_eq!(seg.weight(), 0.5);
 /// # Ok::<(), ucore_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Segment {
     weight: f64,
     ucore: UCore,
@@ -95,7 +95,7 @@ impl Segment {
 
 /// A program as a serial weight plus `k` accelerated segments, with
 /// `serial_weight + Σ w_k = 1` (within [`WEIGHT_SUM_TOLERANCE`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SegmentedWorkload {
     serial_weight: f64,
     segments: Vec<Segment>,

@@ -10,7 +10,7 @@
 //! `(√r)^α = r^(α/2)`.
 
 use crate::error::{ensure_positive, ModelError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The paper's default exponent relating sequential power to performance.
 pub const DEFAULT_ALPHA: f64 = 1.75;
@@ -47,7 +47,7 @@ pub trait SequentialLaw {
 /// assert_eq!(law.perf(4.0), 2.0);
 /// assert_eq!(law.area_for_perf(2.0), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PollackLaw {
     exponent: f64,
 }
@@ -100,7 +100,7 @@ impl SequentialLaw for PollackLaw {
 /// let p = law.power_of_area(4.0);
 /// assert!((p - 4f64.powf(1.75 / 2.0)).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SerialPowerLaw {
     alpha: f64,
 }

@@ -6,7 +6,7 @@
 //! performance of a BCE core while consuming `φ` times its power.
 
 use crate::error::{ensure_positive, ModelError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Relative performance and power of a BCE-sized U-core.
@@ -22,7 +22,7 @@ use std::fmt;
 /// assert!(gtx285_mmm.energy_efficiency_gain() > 1.0);
 /// # Ok::<(), ucore_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct UCore {
     mu: f64,
     phi: f64,
@@ -30,7 +30,7 @@ pub struct UCore {
 
 /// A qualitative classification of where a U-core sits in the `(µ, φ)`
 /// design space, following the discussion in Section 3.3 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum UCoreClass {
     /// `µ > 1, φ ≥ 1`: faster but at least as power-hungry as a BCE.
     Accelerator,

@@ -7,7 +7,7 @@
 //! enforce the domain restrictions (`f ∈ [0, 1]`, speedups positive).
 
 use crate::error::ModelError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The fraction of execution time that can be parallelized, `f ∈ [0, 1]`.
@@ -23,7 +23,7 @@ use std::fmt;
 /// assert!((f.serial() - 0.01).abs() < 1e-12);
 /// # Ok::<(), ucore_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize)]
 #[serde(transparent)]
 pub struct ParallelFraction(f64);
 
@@ -87,7 +87,7 @@ impl TryFrom<f64> for ParallelFraction {
 /// assert!(s > Speedup::UNIT);
 /// # Ok::<(), ucore_core::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize)]
 #[serde(transparent)]
 pub struct Speedup(f64);
 
@@ -194,7 +194,7 @@ mod tests {
         let f = ParallelFraction::new(0.9).unwrap();
         let json = serde_json::to_string(&f).unwrap();
         assert_eq!(json, "0.9");
-        let back: ParallelFraction = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, f);
+        let back: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::catalog::Catalog;
 use crate::device::{DeviceError, DeviceId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The Atom die area the paper starts from, in mm² (45 nm).
 pub const ATOM_AREA_MM2: f64 = 26.0;
@@ -29,7 +29,7 @@ pub const I7_CORES: f64 = 4.0;
 /// assert_eq!(bce.r_i7(), 2.0);
 /// assert!((bce.area_mm2() - 23.4).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BceReference {
     area_mm2: f64,
     r_i7: f64,

@@ -1,7 +1,7 @@
 //! Device descriptions (the rows of Table 2).
 
 use crate::tech::TechNode;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::error::Error;
 use std::fmt;
 
@@ -57,7 +57,7 @@ impl fmt::Display for DeviceError {
 impl Error for DeviceError {}
 
 /// The devices of the paper's Table 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DeviceId {
     /// Intel Core i7-960 (the baseline CPU).
     CoreI7_960,
@@ -118,7 +118,7 @@ impl fmt::Display for DeviceId {
 }
 
 /// The broad class a device belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DeviceClass {
     /// A conventional multicore CPU.
     Cpu,
@@ -135,7 +135,7 @@ pub enum DeviceClass {
 ///
 /// Attributes the paper leaves blank ("-") are `None` and surface as
 /// [`DeviceError::Unavailable`] from the checked accessors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Device {
     id: DeviceId,
     class: DeviceClass,

@@ -6,7 +6,7 @@
 //! lookup table in the Virtex-6 fabric.
 
 use crate::device::DeviceError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-LUT area model for FPGA designs.
 ///
@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((area - 382.0).abs() < 1.0);
 /// # Ok::<(), ucore_devices::DeviceError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FpgaAreaModel {
     mm2_per_lut: f64,
 }

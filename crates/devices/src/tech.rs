@@ -1,6 +1,6 @@
 //! Process technology nodes and scaling arithmetic.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A CMOS process node, identified by its nominal feature size.
@@ -13,7 +13,7 @@ use std::fmt;
 /// assert_eq!(TechNode::N40.feature_nm(), 40.0);
 /// assert!(TechNode::N22 < TechNode::N40); // smaller feature = "less than"
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum TechNode {
     /// 65 nm (the ASIC synthesis flow).
     N65,

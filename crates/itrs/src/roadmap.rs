@@ -1,6 +1,6 @@
 //! Table 6: technology-scaling parameters per projection node.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::error::Error;
 use std::fmt;
 use ucore_devices::TechNode;
@@ -53,7 +53,7 @@ impl fmt::Display for RoadmapError {
 impl Error for RoadmapError {}
 
 /// One row (column, in the paper's layout) of Table 6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NodeParams {
     /// The technology node.
     pub node: TechNode,
@@ -80,7 +80,7 @@ pub struct NodeParams {
 /// [`Roadmap::itrs_2009`] reproduces the paper's Table 6 exactly;
 /// [`Roadmap::with_bandwidth_gb_s`] and friends derive the §6.2
 /// alternative scenarios.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Roadmap {
     nodes: Vec<NodeParams>,
 }

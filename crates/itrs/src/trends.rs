@@ -8,10 +8,10 @@
 //! only ~4–5× (Table 6's 1 / 0.75 / 0.5 / 0.36 / 0.25) — with yearly
 //! values linearly interpolated between node years.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The four trend lines of Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Trend {
     /// Package pin count.
     PackagePins,
@@ -44,7 +44,7 @@ impl Trend {
 }
 
 /// One `(year, value)` sample of a trend, normalized to 2011 = 1.0.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TrendPoint {
     /// Calendar year.
     pub year: u32,
@@ -53,7 +53,7 @@ pub struct TrendPoint {
 }
 
 /// A full normalized series for one trend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrendSeries {
     trend: Trend,
     points: Vec<TrendPoint>,

@@ -8,7 +8,7 @@
 //! charts.
 
 use crate::engine::{DesignId, ProjectionEngine, ProjectionError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ucore_calibrate::WorkloadColumn;
 use ucore_core::ParallelFraction;
 use ucore_devices::TechNode;
@@ -98,7 +98,7 @@ pub fn node_crossover(
 }
 
 /// A named crossover record for reporting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CrossoverRecord {
     /// What the crossover describes.
     pub description: String,

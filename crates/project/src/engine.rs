@@ -18,7 +18,7 @@
 
 use crate::results::NodePoint;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -56,7 +56,7 @@ impl fmt::Display for ProjectionError {
 impl Error for ProjectionError {}
 
 /// A design plotted in the projection figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DesignId {
     /// `(0)` Symmetric CMP of i7-class cores.
     SymCmp,
@@ -73,7 +73,7 @@ pub enum DesignId {
 
 /// How a Figure 11 chip organizes its accelerator area across the
 /// composite workload's segments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PortfolioDesign {
     /// One programmable U-core (GPU, or an FPGA reconfigured between
     /// kernels) serving every segment with the *full* parallel area,
@@ -499,7 +499,7 @@ impl ProjectionEngine {
 }
 
 /// One year of a fine-grained projection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct YearPoint {
     /// Calendar year.
     pub year: u32,

@@ -1,6 +1,6 @@
 //! Study configurations: the baseline and the §6.2 alternatives.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ucore_core::{SerialPowerLaw, DEFAULT_ALPHA, SCENARIO_ALPHA};
 use ucore_itrs::Roadmap;
 
@@ -14,7 +14,7 @@ use ucore_itrs::Roadmap;
 /// let mobile = Scenario::s5_low_power();
 /// assert_eq!(mobile.roadmap().nodes()[0].core_power_budget_w, 10.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Scenario {
     name: String,
     roadmap: Roadmap,

@@ -190,6 +190,16 @@ fn socket_hostility_gets_typed_errors_and_service_survives() {
     assert!(status_line(&resp).contains("400"), "{resp:?}");
     assert_eq!(error_code(&resp), "request.schema");
 
+    // Nesting far past the parser's depth limit, within the body limit:
+    // a typed error, not a stack overflow that aborts the process.
+    let body = "[".repeat(20_000);
+    let mut req = format!("POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len())
+        .into_bytes();
+    req.extend_from_slice(body.as_bytes());
+    let resp = raw_exchange(addr, &req);
+    assert!(status_line(&resp).contains("400"), "{resp:?}");
+    assert_eq!(error_code(&resp), "request.invalid_json");
+
     // After all of that, the server still answers a well-formed probe.
     let resp = raw_exchange(addr, b"GET /healthz HTTP/1.1\r\n\r\n");
     assert!(status_line(&resp).contains("200"), "{resp:?}");

@@ -274,7 +274,7 @@ fn fresh_connections_are_admitted_without_a_poll_delay() {
 fn request_deadline_returns_504_with_the_taxonomy_code() {
     let _gate = serialized();
     let server = boot(|c| {
-        c.request_timeout = Some(Duration::from_millis(1));
+        c.request_timeout = Some(Duration::from_nanos(1));
     });
     // figure-10 shares its MMM points with figure-11, which another
     // test renders; clearing the evaluation cache makes the render run

@@ -8,12 +8,12 @@
 //! higher-intensity out-of-core algorithms.
 
 use crate::data;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ucore_devices::DeviceId;
 use ucore_workloads::Workload;
 
 /// One bandwidth-counter reading for an FFT size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BandwidthReading {
     /// The FFT size.
     pub size: usize,

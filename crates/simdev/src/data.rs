@@ -15,13 +15,13 @@
 //! Derived quantities round-trip: running `ucore-calibrate` over this
 //! data reproduces Table 5 to within rounding.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ucore_devices::DeviceId;
 use ucore_workloads::{Workload, WorkloadKind};
 
 /// The observables the lab can produce for one (device, workload) pair,
 /// all at the paper's 40 nm area normalization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DeviceWorkloadData {
     /// The device.
     pub device: DeviceId,
@@ -46,7 +46,7 @@ impl DeviceWorkloadData {
 }
 
 /// A published-measurement table: rows keyed by device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MeasuredTable {
     workload: WorkloadKind,
     rows: Vec<DeviceWorkloadData>,

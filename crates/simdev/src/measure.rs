@@ -6,7 +6,7 @@ use crate::data;
 use crate::power::{PowerBreakdown, PowerModel};
 use crate::probe::CurrentProbe;
 use crate::roofline::{Roofline, RooflineVerdict};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::error::Error;
 use std::fmt;
 use ucore_devices::DeviceId;
@@ -37,7 +37,7 @@ impl fmt::Display for SimLabError {
 impl Error for SimLabError {}
 
 /// One steady-state measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Measurement {
     /// The device measured.
     pub device: DeviceId,
@@ -71,7 +71,7 @@ pub struct Measurement {
 /// assert_eq!(m.perf, 425.0); // Table 4
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SimLab {
     honor_paper_gaps: bool,
     probe_noise: f64,

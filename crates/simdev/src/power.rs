@@ -15,11 +15,11 @@
 //! * **uncore dynamic** is proportional to the off-chip traffic;
 //! * **unknown** is a small measurement residue.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ucore_devices::DeviceId;
 
 /// One device's power, split the way Figure 3 plots it (watts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PowerBreakdown {
     /// Switching power of the compute cores.
     pub core_dynamic: f64,
@@ -48,7 +48,7 @@ impl PowerBreakdown {
 }
 
 /// The parameterized breakdown model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PowerModel {
     leakage_fraction: f64,
     uncore_static_w: f64,

@@ -8,19 +8,15 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A probe clamped around one supply rail.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CurrentProbe {
     true_watts: f64,
     noise_fraction: f64,
-    #[serde(skip, default = "default_rng")]
+    #[serde(skip)]
     rng: StdRng,
-}
-
-fn default_rng() -> StdRng {
-    StdRng::seed_from_u64(0)
 }
 
 impl CurrentProbe {

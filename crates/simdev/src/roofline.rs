@@ -7,10 +7,10 @@
 //! how it clips throughput when a hypothetical configuration would run
 //! out of memory bandwidth instead.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Whether the compute or the bandwidth ceiling binds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum RooflineVerdict {
     /// The kernel's arithmetic keeps the device busy: more area would
     /// mean more performance.
@@ -31,7 +31,7 @@ pub enum RooflineVerdict {
 /// assert_eq!(attained, 20.0);
 /// assert_eq!(verdict, RooflineVerdict::BandwidthBound);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Roofline {
     compute_peak: f64,
     bandwidth_peak_gb_s: f64,

@@ -11,7 +11,7 @@ pub mod math;
 pub mod reference;
 
 use crate::kernel::WorkloadError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Approximate floating-point operations per option pricing in this
 /// pipeline (both legs), used as the paper-style operation count when an
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 pub const FLOPS_PER_OPTION: f64 = 55.0;
 
 /// One option-pricing problem.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OptionParams {
     /// Current underlying price `S`.
     pub spot: f32,
@@ -36,7 +36,7 @@ pub struct OptionParams {
 }
 
 /// The price of both legs for one option.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OptionPrice {
     /// European call price.
     pub call: f32,

@@ -22,14 +22,14 @@ pub mod radix4;
 pub mod reference;
 
 use crate::kernel::WorkloadError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::{Add, Mul, Neg, Sub};
 
 /// A single-precision complex number.
 ///
 /// A local implementation (rather than an external crate) keeps the
 /// kernel self-contained and under test here.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct Complex {
     /// Real part.
     pub re: f32,
@@ -113,7 +113,7 @@ impl Neg for Complex {
 }
 
 /// Transform direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Direction {
     /// The forward DFT (negative exponent).
     Forward,

@@ -1,6 +1,6 @@
 //! Workload characterization: operation counts, byte counts and units.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::error::Error;
 use std::fmt;
 
@@ -72,7 +72,7 @@ impl fmt::Display for WorkloadError {
 impl Error for WorkloadError {}
 
 /// The three kernel families of Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum WorkloadKind {
     /// Dense matrix-matrix multiplication.
     Mmm,
@@ -104,7 +104,7 @@ impl fmt::Display for WorkloadKind {
 }
 
 /// The unit a workload's throughput is reported in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PerfUnit {
     /// Billions of floating-point operations per second (MMM; for FFT
     /// these are the paper's *pseudo*-GFLOP/s based on `5N log2 N`).
@@ -128,7 +128,7 @@ impl fmt::Display for PerfUnit {
 /// MMM, one `N`-point transform for FFT, one option pricing for BS. All
 /// kernels are throughput-driven (many independent work units), which is
 /// what makes them compute-bound on real devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Workload {
     kind: WorkloadKind,
     size: usize,

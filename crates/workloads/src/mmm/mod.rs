@@ -13,7 +13,7 @@ pub mod blocked;
 pub mod naive;
 
 use crate::kernel::WorkloadError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A row-major dense matrix of `f32`.
 ///
@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.get(1, 1), 1.0);
 /// assert_eq!(m.get(0, 1), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -12,11 +12,11 @@ use crate::fft::{Direction, Fft};
 use crate::gen::{random_matrix, random_portfolio, random_signal};
 use crate::kernel::{PerfUnit, Workload, WorkloadError, WorkloadKind};
 use crate::mmm::blocked;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
 /// One throughput measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ThroughputSample {
     /// Throughput in the workload's reporting unit.
     pub value: f64,
