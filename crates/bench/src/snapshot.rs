@@ -33,6 +33,7 @@ use ucore_core::{
 use ucore_devices::{Catalog, DeviceId};
 use ucore_itrs::{Roadmap, Trend, TrendSeries};
 use ucore_project::figures;
+use ucore_project::journal::{self, JournalRecord};
 use ucore_project::sweep::{figure_points, sweep, SweepConfig};
 use ucore_project::{DesignId, ProjectionEngine, Scenario};
 use ucore_simdev::{counters, PowerModel, SimLab};
@@ -436,8 +437,8 @@ fn kernel_benches(visit: &mut Visitor<'_>) -> Result<(), SnapshotError> {
 
 /// The `sweep` topic: one Figure 6-sized batch (4 parallel fractions ×
 /// 6 designs × 5 nodes) evaluated uncached and against a pre-warmed
-/// cache, plus the optimizer and portfolio
-/// allocator search strategies head to head.
+/// cache, the optimizer and portfolio allocator search strategies head
+/// to head, and the batch's journal fingerprint, encode and decode.
 fn sweep_benches(visit: &mut Visitor<'_>) -> Result<(), SnapshotError> {
     // A private cache isolates the benches from the process-global one.
     let engine = setup(
@@ -506,6 +507,37 @@ fn sweep_benches(visit: &mut Visitor<'_>) -> Result<(), SnapshotError> {
     });
     visit("portfolio/exhaustive", &mut || {
         black_box(chip.allocate_exhaustive(64).ok());
+    });
+
+    // The per-point journal work of a durable sweep, over the same
+    // batch's 120 records: fingerprint every point, encode every record
+    // to its line, and decode every line back.
+    let (results, _) = sweep(&engine, points.clone(), &cached);
+    let records: Vec<JournalRecord> = results
+        .iter()
+        .map(|r| JournalRecord {
+            sweep_seq: 0,
+            index: r.index,
+            fingerprint: journal::point_fingerprint(&r.point),
+            retries: 0,
+            outcome: r.outcome.clone(),
+        })
+        .collect();
+    let lines: Vec<String> = records.iter().map(journal::encode_record).collect();
+    visit("journal/fingerprint", &mut || {
+        for p in &points {
+            black_box(journal::point_fingerprint(p));
+        }
+    });
+    visit("journal/encode", &mut || {
+        for r in &records {
+            black_box(journal::encode_record(r));
+        }
+    });
+    visit("journal/decode", &mut || {
+        for (i, line) in lines.iter().enumerate() {
+            black_box(journal::decode_record(line.trim_end_matches('\n'), i + 1).ok());
+        }
     });
     Ok(())
 }
@@ -875,7 +907,7 @@ mod tests {
             }
             all.extend(ids);
         }
-        assert_eq!(all.len(), 39, "{all:?}");
+        assert_eq!(all.len(), 42, "{all:?}");
         let unique: std::collections::HashSet<&String> = all.iter().collect();
         assert_eq!(unique.len(), all.len(), "duplicate bench ids: {all:?}");
     }

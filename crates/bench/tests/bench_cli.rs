@@ -42,13 +42,16 @@ const KERNEL_IDS: [&str; 7] = [
     "kernels/black_scholes/serial",
 ];
 
-const SWEEP_IDS: [&str; 6] = [
+const SWEEP_IDS: [&str; 9] = [
     "sweep/sequential",
     "sweep/cached",
     "optimize/exhaustive",
     "optimize/pruned",
     "portfolio/allocate",
     "portfolio/exhaustive",
+    "journal/fingerprint",
+    "journal/encode",
+    "journal/decode",
 ];
 
 #[test]

@@ -66,8 +66,8 @@ pub enum DesignId {
     /// `(2..6)` A heterogeneous chip built from the device's U-cores.
     Het(DeviceId),
     /// A Multi-Amdahl chip on the composite three-kernel workload
-    /// (Figure 11). Appended after the original variants so the journal
-    /// fingerprints of pre-existing sweep points are untouched.
+    /// (Figure 11). Journal fingerprints tag each variant explicitly
+    /// (`journal::point_fingerprint`), so variant order is free.
     Portfolio(PortfolioDesign),
 }
 

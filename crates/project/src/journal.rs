@@ -25,8 +25,12 @@
 //!   as 8 hex digits;
 //! * `sweep_seq` / `index` — which sweep of the run, and which
 //!   submission index within it (the replay key);
-//! * `fingerprint` — FNV-1a hash of the full [`SweepPoint`], guarding
-//!   resume against a stale journal from a different grid;
+//! * `fingerprint` — [`point_fingerprint`]: FNV-1a 64 over the bits of
+//!   every [`SweepPoint`] field (enum tags, the year, and the `to_bits()`
+//!   of each float), guarding resume against a stale journal from a
+//!   different grid. Journals written before the fingerprint took this
+//!   form carry the old hash of the point's debug text: they resume with
+//!   every record stale and re-evaluated, never as corrupt;
 //! * `retries` — how many retry attempts the point consumed, so resumed
 //!   runs reproduce the original run's retry accounting exactly;
 //! * `outcome` — `ok` followed by the node, limiter, and the **exact
@@ -39,15 +43,18 @@
 //! run's — the round trip is exact by construction, not by the grace of
 //! a formatter.
 
-use crate::sweep::{Outcome, SweepPoint};
+use crate::engine::{DesignId, PortfolioDesign};
 use crate::results::NodePoint;
+use crate::sweep::{Outcome, SweepPoint};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use ucore_calibrate::WorkloadColumn;
 use ucore_core::Limiter;
-use ucore_devices::TechNode;
+use ucore_devices::{DeviceId, TechNode};
+use ucore_itrs::NodeParams;
 
 /// Journal format version tag, the first field of every record.
 pub const JOURNAL_VERSION: &str = "u1";
@@ -62,45 +69,150 @@ pub const SYNC_BATCH: usize = 16;
 // Hashes
 // ---------------------------------------------------------------------
 
+/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) of every byte
+/// value, built at compile time: entry `i` is `i` run through the eight
+/// bitwise division steps.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the per-line
-/// checksum framing.
+/// checksum framing. One table lookup per byte.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[usize::from((crc as u8) ^ b)];
     }
     !crc
 }
 
 /// FNV-1a, 64-bit — deterministic fingerprinting and retry jitter.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    const fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
 }
 
-/// A stable fingerprint of a sweep point: the hash of its complete
-/// debug rendering (design, column, node parameters, budgets, `f` — all
-/// shortest-round-trip formatted, so distinct values hash distinctly).
-/// Resume uses it to detect a journal written by a different grid.
+/// FNV-1a 64 of one byte string.
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv1a64::new();
+    hash.write(bytes);
+    hash.0
+}
+
+fn device_tag(device: DeviceId) -> u8 {
+    match device {
+        DeviceId::CoreI7_960 => 0,
+        DeviceId::Gtx285 => 1,
+        DeviceId::Gtx480 => 2,
+        DeviceId::R5870 => 3,
+        DeviceId::V6Lx760 => 4,
+        DeviceId::Asic => 5,
+    }
+}
+
+/// The design's tag and its device's tag (`0xff` for the CMP baselines,
+/// which have no U-core device).
+fn design_tags(design: DesignId) -> [u8; 2] {
+    match design {
+        DesignId::SymCmp => [0, 0xff],
+        DesignId::AsymCmp => [1, 0xff],
+        DesignId::Het(d) => [2, device_tag(d)],
+        DesignId::Portfolio(PortfolioDesign::Shared(d)) => [3, device_tag(d)],
+        DesignId::Portfolio(PortfolioDesign::Split(d)) => [4, device_tag(d)],
+    }
+}
+
+fn column_tag(column: WorkloadColumn) -> u8 {
+    match column {
+        WorkloadColumn::Mmm => 0,
+        WorkloadColumn::Bs => 1,
+        WorkloadColumn::Fft64 => 2,
+        WorkloadColumn::Fft1024 => 3,
+        WorkloadColumn::Fft16384 => 4,
+    }
+}
+
+fn node_tag(node: TechNode) -> u8 {
+    match node {
+        TechNode::N65 => 0,
+        TechNode::N55 => 1,
+        TechNode::N45 => 2,
+        TechNode::N40 => 3,
+        TechNode::N32 => 4,
+        TechNode::N22 => 5,
+        TechNode::N16 => 6,
+        TechNode::N11 => 7,
+    }
+}
+
+/// A stable fingerprint of a sweep point: FNV-1a 64 over a fixed
+/// little-endian layout of every field — one tag byte each for the
+/// design, its device, the column and the node, the year as `u32`, then
+/// the `to_bits()` of the six node floats, the three budgets and `f`.
+/// Every bit of every field feeds the hash, with no formatting and no
+/// allocation. Resume uses it to detect a journal written by a
+/// different grid.
 pub fn point_fingerprint(point: &SweepPoint) -> u64 {
-    fnv1a64(format!("{point:?}").as_bytes())
+    // Exhaustive destructuring: a new field is a compile error here
+    // until the fingerprint covers it.
+    let SweepPoint { design, column, node, budgets, f } = point;
+    let NodeParams {
+        node: tech,
+        year,
+        core_die_budget_mm2,
+        core_power_budget_w,
+        bandwidth_gb_s,
+        max_area_bce,
+        rel_power_per_transistor,
+        rel_bandwidth,
+    } = node;
+    let [design, device] = design_tags(*design);
+    let mut hash = Fnv1a64::new();
+    hash.write(&[design, device, column_tag(*column), node_tag(*tech)]);
+    hash.write(&year.to_le_bytes());
+    for x in [
+        *core_die_budget_mm2,
+        *core_power_budget_w,
+        *bandwidth_gb_s,
+        *max_area_bce,
+        *rel_power_per_transistor,
+        *rel_bandwidth,
+        budgets.area(),
+        budgets.power(),
+        budgets.bandwidth(),
+        f.get(),
+    ] {
+        hash.write(&x.to_bits().to_le_bytes());
+    }
+    hash.0
 }
 
 // ---------------------------------------------------------------------
 // Field codecs
 // ---------------------------------------------------------------------
-
-fn f64_to_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
 
 fn f64_from_hex(s: &str) -> Option<f64> {
     if s.len() != 16 {
@@ -153,12 +265,11 @@ fn limiter_from_keyword(s: &str) -> Option<Limiter> {
     })
 }
 
-/// Escapes a diagnostic message for single-field storage: backslash,
-/// tab (the field separator), newline (the record separator) and
-/// carriage return. Every other character — arbitrary Unicode included
-/// — passes through literally.
-fn escape_field(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends a diagnostic message escaped for single-field storage:
+/// backslash, tab (the field separator), newline (the record separator)
+/// and carriage return. Every other character — arbitrary Unicode
+/// included — passes through literally.
+fn escape_field(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -168,7 +279,6 @@ fn escape_field(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 fn unescape_field(s: &str) -> Option<String> {
@@ -257,24 +367,56 @@ impl From<io::Error> for JournalError {
 
 /// Renders one record as its journal line (newline-terminated).
 pub fn encode_record(record: &JournalRecord) -> String {
-    let outcome = match &record.outcome {
-        Outcome::Feasible(p) => format!(
-            "ok\t{}\t{}\t{}\t{}\t{}\t{}",
-            node_keyword(p.node),
-            limiter_keyword(p.limiter),
-            f64_to_hex(p.speedup),
-            f64_to_hex(p.r),
-            f64_to_hex(p.n),
-            f64_to_hex(p.energy),
-        ),
-        Outcome::Infeasible => "infeasible".to_string(),
-        Outcome::Failed { panic_msg } => format!("failed\t{}", escape_field(panic_msg)),
-    };
-    let body = format!(
-        "{}\t{}\t{:016x}\t{}\t{}",
-        record.sweep_seq, record.index, record.fingerprint, record.retries, outcome
-    );
-    format!("{JOURNAL_VERSION}\t{:08x}\t{body}\n", crc32(body.as_bytes()))
+    // One allocation for a typical line: a feasible record's is about
+    // 120 bytes.
+    let mut line = String::with_capacity(128);
+    encode_record_into(record, &mut line);
+    line
+}
+
+/// Appends one record's journal line to `out`. The header goes in with
+/// a placeholder checksum, the body is written in place, and the
+/// checksum digits are patched over the placeholder once the body's
+/// CRC is known — no intermediate strings.
+pub(crate) fn encode_record_into(record: &JournalRecord, out: &mut String) {
+    out.push_str(JOURNAL_VERSION);
+    out.push_str("\t00000000\t");
+    let body = out.len();
+    // Writing to a `String` cannot fail.
+    let _ = write!(out, "{}\t{}\t", record.sweep_seq, record.index);
+    out.push_str(hex_digits(record.fingerprint, &mut [0; 16]));
+    let _ = write!(out, "\t{}\t", record.retries);
+    match &record.outcome {
+        Outcome::Feasible(p) => {
+            out.push_str("ok\t");
+            out.push_str(node_keyword(p.node));
+            out.push('\t');
+            out.push_str(limiter_keyword(p.limiter));
+            for x in [p.speedup, p.r, p.n, p.energy] {
+                out.push('\t');
+                out.push_str(hex_digits(x.to_bits(), &mut [0; 16]));
+            }
+        }
+        Outcome::Infeasible => out.push_str("infeasible"),
+        Outcome::Failed { panic_msg } => {
+            out.push_str("failed\t");
+            escape_field(panic_msg, out);
+        }
+    }
+    let crc = crc32(&out.as_bytes()[body..]);
+    out.replace_range(body - 9..body - 1, hex_digits(u64::from(crc), &mut [0; 8]));
+    out.push('\n');
+}
+
+/// The low `4 * N` bits of `x` as `N` lowercase hex digits, written
+/// into `buf` — what `format!("{x:0N$x}")` renders, without a
+/// formatter.
+fn hex_digits<const N: usize>(x: u64, buf: &mut [u8; N]) -> &str {
+    for (i, digit) in buf.iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(x >> (4 * (N - 1 - i))) as usize & 0xf];
+    }
+    // Hex digits are ASCII, so this never falls back to the default.
+    std::str::from_utf8(buf).unwrap_or_default()
 }
 
 fn corrupt(line: usize, reason: impl Into<String>) -> JournalError {
@@ -308,8 +450,17 @@ pub fn decode_record(line_text: &str, line: usize) -> Result<JournalRecord, Jour
             format!("checksum mismatch (stored {stored:08x}, computed {actual:08x})"),
         ));
     }
-    let fields: Vec<&str> = body.split('\t').collect();
-    if fields.len() < 5 {
+    // The longest known shape (`ok`) has 11 fields; any extra ones are
+    // only counted, so the shape check below still rejects them.
+    let mut fields = [""; 11];
+    let mut count = 0;
+    for field in body.split('\t') {
+        if let Some(slot) = fields.get_mut(count) {
+            *slot = field;
+        }
+        count += 1;
+    }
+    if count < 5 {
         return Err(corrupt(line, "record body has too few fields"));
     }
     let sweep_seq: u64 = fields[0]
@@ -323,7 +474,7 @@ pub fn decode_record(line_text: &str, line: usize) -> Result<JournalRecord, Jour
     let retries: u32 = fields[3]
         .parse()
         .map_err(|_| corrupt(line, format!("bad retry count {:?}", fields[3])))?;
-    let outcome = match (fields[4], fields.len()) {
+    let outcome = match (fields[4], count) {
         ("infeasible", 5) => Outcome::Infeasible,
         ("failed", 6) => Outcome::Failed {
             panic_msg: unescape_field(fields[5])
@@ -374,6 +525,9 @@ pub struct JournalWriter {
     path: PathBuf,
     appended: u64,
     unsynced: usize,
+    /// The line being appended, reused so an append allocates nothing
+    /// once the buffer has grown to the longest line.
+    line: String,
 }
 
 impl JournalWriter {
@@ -386,7 +540,7 @@ impl JournalWriter {
     pub fn create(path: &Path) -> Result<Self, JournalError> {
         let file = File::create(path)?;
         sync_dir(&parent_dir(path))?;
-        Ok(JournalWriter { file, path: path.to_path_buf(), appended: 0, unsynced: 0 })
+        Ok(JournalWriter::new(file, path))
     }
 
     /// Opens an existing journal for appending (creating it when
@@ -399,7 +553,17 @@ impl JournalWriter {
     pub fn append_to(path: &Path) -> Result<Self, JournalError> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         sync_dir(&parent_dir(path))?;
-        Ok(JournalWriter { file, path: path.to_path_buf(), appended: 0, unsynced: 0 })
+        Ok(JournalWriter::new(file, path))
+    }
+
+    fn new(file: File, path: &Path) -> Self {
+        JournalWriter {
+            file,
+            path: path.to_path_buf(),
+            appended: 0,
+            unsynced: 0,
+            line: String::new(),
+        }
     }
 
     /// Appends one record and flushes it to the OS; fsyncs every
@@ -409,7 +573,9 @@ impl JournalWriter {
     ///
     /// Propagates filesystem errors.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
-        self.file.write_all(encode_record(record).as_bytes())?;
+        self.line.clear();
+        encode_record_into(record, &mut self.line);
+        self.file.write_all(self.line.as_bytes())?;
         self.appended += 1;
         self.unsynced += 1;
         if self.unsynced >= SYNC_BATCH {
@@ -728,11 +894,40 @@ mod tests {
         }
     }
 
+    /// The bitwise CRC-32 the table is built from: eight shift-and-xor
+    /// division steps per byte. The reference the table-driven
+    /// [`crc32`] must match bit for bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         // The canonical CRC-32 test vector.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xcbf4_3926);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn table_crc32_matches_the_bitwise_reference(
+            bytes in proptest::collection::vec(0u8..=255, 512),
+            len in 0usize..=512,
+        ) {
+            let bytes = &bytes[..len];
+            proptest::prop_assert_eq!(crc32(bytes), crc32_bitwise(bytes));
+        }
     }
 
     #[test]
@@ -747,7 +942,8 @@ mod tests {
             "\\",
             "trailing\t",
         ] {
-            let escaped = escape_field(s);
+            let mut escaped = String::new();
+            escape_field(s, &mut escaped);
             assert!(!escaped.contains('\t') && !escaped.contains('\n'), "{s:?}");
             assert_eq!(unescape_field(&escaped).as_deref(), Some(s));
         }
@@ -758,7 +954,7 @@ mod tests {
     #[test]
     fn f64_hex_is_bit_exact_for_every_special_value() {
         for x in [0.0, -0.0, 1.5, f64::MIN_POSITIVE, f64::MAX, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
-            let back = f64_from_hex(&f64_to_hex(x)).unwrap();
+            let back = f64_from_hex(&format!("{:016x}", x.to_bits())).unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x}");
         }
         assert_eq!(f64_from_hex("short"), None);
@@ -782,6 +978,40 @@ mod tests {
             assert_eq!(back.fingerprint, rec.fingerprint);
             assert_eq!(back.retries, rec.retries);
             assert!(outcomes_bit_equal(&back.outcome, &rec.outcome));
+        }
+    }
+
+    #[test]
+    fn record_lines_are_pinned() {
+        let specials = Outcome::Feasible(NodePoint {
+            node: TechNode::N11,
+            speedup: -0.0,
+            limiter: Limiter::Power,
+            r: f64::INFINITY,
+            n: 1.0,
+            energy: f64::NAN,
+        });
+        let failed = Outcome::Failed {
+            panic_msg: "tab\there\nnew\rcr\\back ≠ 判定 🚀".into(),
+        };
+        let cases = [
+            (
+                record(0, 0, specials),
+                "u1\tcf4974e8\t0\t0\tdeadbeefcafef00d\t2\tok\tn11\tpower\t\
+                 8000000000000000\t7ff0000000000000\t3ff0000000000000\t7ff8000000000000\n",
+            ),
+            (
+                record(7, 119, Outcome::Infeasible),
+                "u1\t54af13c0\t7\t119\tdeadbeefcafef00d\t2\tinfeasible\n",
+            ),
+            (
+                record(u64::MAX, usize::MAX, failed),
+                "u1\t3ab08e4c\t18446744073709551615\t18446744073709551615\tdeadbeefcafef00d\t2\t\
+                 failed\ttab\\there\\nnew\\rcr\\\\back ≠ 判定 🚀\n",
+            ),
+        ];
+        for (rec, expected) in cases {
+            assert_eq!(encode_record(&rec), expected, "{rec:?}");
         }
     }
 
@@ -918,23 +1148,86 @@ mod tests {
 
     #[test]
     fn fingerprints_distinguish_points_and_are_stable() {
-        use crate::engine::{DesignId, ProjectionEngine};
+        use crate::engine::ProjectionEngine;
         use crate::scenario::Scenario;
         use crate::sweep::figure_points;
         use std::sync::Arc;
-        use ucore_calibrate::WorkloadColumn;
-        use ucore_core::EvalCache;
+        use ucore_core::{Budgets, EvalCache, ParallelFraction};
+
+        const PINNED: u64 = 0x0615_d812_a69a_3abb;
 
         let e = ProjectionEngine::with_cache(Scenario::baseline(), Arc::new(EvalCache::new()))
             .unwrap();
         let designs = DesignId::for_column(e.table5(), WorkloadColumn::Fft1024);
         let points =
-            figure_points(&e, &designs, WorkloadColumn::Fft1024, &[0.5, 0.9]).unwrap();
+            figure_points(&e, &designs, WorkloadColumn::Fft1024, &[0.5, 0.9, 0.99, 0.999])
+                .unwrap();
         let fps: Vec<u64> = points.iter().map(point_fingerprint).collect();
         let mut unique = fps.clone();
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), fps.len(), "grid points fingerprint distinctly");
         assert_eq!(fps[0], point_fingerprint(&points[0]), "stable across calls");
+        // The layout is part of the journal format: an edit that moves
+        // this value makes every existing journal resume as stale.
+        assert_eq!(fps[0], PINNED, "{:#018x}", fps[0]);
+
+        // Changing any single field, down to one float bit, changes the
+        // fingerprint.
+        let base = points[0];
+        let flip = |x: f64| f64::from_bits(x.to_bits() ^ 1);
+        let mut variants = Vec::new();
+        for design in [DesignId::SymCmp, DesignId::AsymCmp]
+            .into_iter()
+            .chain(DeviceId::ALL.into_iter().flat_map(|d| {
+                [
+                    DesignId::Het(d),
+                    DesignId::Portfolio(PortfolioDesign::Shared(d)),
+                    DesignId::Portfolio(PortfolioDesign::Split(d)),
+                ]
+            }))
+        {
+            variants.push(SweepPoint { design, ..base });
+        }
+        for column in WorkloadColumn::ALL {
+            variants.push(SweepPoint { column, ..base });
+        }
+        for tech in TechNode::ALL {
+            variants.push(SweepPoint { node: NodeParams { node: tech, ..base.node }, ..base });
+        }
+        let n = base.node;
+        for node in [
+            NodeParams { year: n.year + 1, ..n },
+            NodeParams { core_die_budget_mm2: flip(n.core_die_budget_mm2), ..n },
+            NodeParams { core_power_budget_w: flip(n.core_power_budget_w), ..n },
+            NodeParams { bandwidth_gb_s: flip(n.bandwidth_gb_s), ..n },
+            NodeParams { max_area_bce: flip(n.max_area_bce), ..n },
+            NodeParams { rel_power_per_transistor: flip(n.rel_power_per_transistor), ..n },
+            NodeParams { rel_bandwidth: flip(n.rel_bandwidth), ..n },
+        ] {
+            variants.push(SweepPoint { node, ..base });
+        }
+        let b = base.budgets;
+        for budgets in [
+            Budgets::new(flip(b.area()), b.power(), b.bandwidth()),
+            Budgets::new(b.area(), flip(b.power()), b.bandwidth()),
+            Budgets::new(b.area(), b.power(), flip(b.bandwidth())),
+        ] {
+            variants.push(SweepPoint { budgets: budgets.unwrap(), ..base });
+        }
+        let f = ParallelFraction::new(flip(base.f.get())).unwrap();
+        variants.push(SweepPoint { f, ..base });
+
+        let mut changed = 0;
+        for v in &variants {
+            if *v != base {
+                assert_ne!(point_fingerprint(v), fps[0], "{v:?}");
+                changed += 1;
+            }
+        }
+        // 5 designs + 6 devices × 3 device designs − the base itself,
+        // 4 other columns, 7 other nodes, year, 6 node floats, 3 budgets
+        // and f.
+        assert_eq!(changed, 2 + 18 - 1 + 4 + 7 + 1 + 6 + 3 + 1);
     }
 }

@@ -228,7 +228,7 @@ pub fn merge_journals(shards: &[PathBuf], merged: &Path) -> Result<MergeReport, 
     report.records = slots.len();
     let mut bytes = String::new();
     for record in slots.values() {
-        bytes.push_str(&journal::encode_record(record));
+        journal::encode_record_into(record, &mut bytes);
     }
     journal::atomic_write(merged, bytes.as_bytes())?;
     let m = crate::obs::metrics();
@@ -674,6 +674,62 @@ mod tests {
         for (index, range) in lease_ranges(192, 8).into_iter().enumerate() {
             assert_eq!(ShardSpec::new(index, 8).unwrap().lease(192), range);
         }
+    }
+
+    #[test]
+    fn merged_journal_bytes_are_pinned() {
+        use crate::journal::{JournalRecord, JournalWriter};
+        use crate::results::NodePoint;
+        use crate::sweep::Outcome;
+        use ucore_core::Limiter;
+        use ucore_devices::TechNode;
+
+        let dir = std::env::temp_dir();
+        let tag = std::process::id();
+        let shards = [
+            dir.join(format!("ucore-merge-pin-{tag}.a")),
+            dir.join(format!("ucore-merge-pin-{tag}.b")),
+        ];
+        let merged = dir.join(format!("ucore-merge-pin-{tag}.merged"));
+        let record = |sweep_seq, index, outcome| JournalRecord {
+            sweep_seq,
+            index,
+            fingerprint: 0x0123_4567_89ab_cdef ^ index as u64,
+            retries: index as u32 % 3,
+            outcome,
+        };
+        let feasible = Outcome::Feasible(NodePoint {
+            node: TechNode::N32,
+            speedup: 17.5,
+            limiter: Limiter::Area,
+            r: 2.0,
+            n: 64.0,
+            energy: 0.125,
+        });
+        // Out of order across two shards: the merge sorts by slot.
+        let inputs = [
+            vec![record(1, 0, Outcome::Failed { panic_msg: "boom\tx".into() })],
+            vec![record(0, 5, Outcome::Infeasible), record(0, 2, feasible)],
+        ];
+        for (path, records) in shards.iter().zip(&inputs) {
+            let mut w = JournalWriter::create(path).unwrap();
+            for r in records {
+                w.append(r).unwrap();
+            }
+        }
+        let report = merge_journals(&shards, &merged).unwrap();
+        assert_eq!(report.records, 3);
+        let bytes = std::fs::read_to_string(&merged).unwrap();
+        for p in shards.iter().chain([&merged]) {
+            let _ = std::fs::remove_file(p);
+        }
+        assert_eq!(
+            bytes,
+            "u1\td33d0b15\t0\t2\t0123456789abcded\t2\tok\tn32\tarea\t\
+             4031800000000000\t4000000000000000\t4050000000000000\t3fc0000000000000\n\
+             u1\tbb3500b1\t0\t5\t0123456789abcdea\t2\tinfeasible\n\
+             u1\tc7ad1a94\t1\t0\t0123456789abcdef\t0\tfailed\tboom\\tx\n"
+        );
     }
 
     #[test]

@@ -195,6 +195,61 @@ fn stale_journal_records_are_ignored_not_replayed() {
     let _ = fs::remove_file(&path);
 }
 
+/// A journal written while the fingerprint was FNV-1a 64 of the point's
+/// `Debug` text keeps the `u1` framing, so it resumes without error:
+/// every record is stale, every point re-evaluates, and the outcomes
+/// are the uninterrupted run's.
+#[test]
+fn debug_text_fingerprint_journals_resume_as_stale() {
+    let _lock = serialized();
+    let e = engine();
+    let points = grid(&e);
+    let path = temp_journal("debug-fingerprint");
+    {
+        let (guard, _) = durability::activate(DurabilityConfig {
+            journal: Some(path.clone()),
+            ..Default::default()
+        })
+        .unwrap();
+        sweep(&e, points.clone(), &SweepConfig::default());
+        drop(guard);
+    }
+    let (records, _) = ucore_project::journal::read_records(&path).unwrap();
+    assert_eq!(records.len(), points.len());
+    let debug_fnv = |p: &SweepPoint| {
+        format!("{p:?}").bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let mut old = ucore_project::journal::JournalWriter::create(&path).unwrap();
+    for mut record in records {
+        record.fingerprint = debug_fnv(&points[record.index]);
+        old.append(&record).unwrap();
+    }
+    drop(old);
+
+    let stale_before = durability::durability_totals().journal_stale;
+    let (guard, _) = durability::activate(DurabilityConfig {
+        journal: Some(path.clone()),
+        resume: true,
+        ..Default::default()
+    })
+    .unwrap();
+    let (results, stats) = sweep(&e, points.clone(), &SweepConfig::default());
+    drop(guard);
+    assert_eq!(stats.journal_hits, 0, "no old fingerprint matches");
+    assert_eq!(
+        durability::durability_totals().journal_stale - stale_before,
+        points.len() as u64,
+        "every old record is counted stale"
+    );
+    let (reference, _) = sweep(&e, points, &SweepConfig::default());
+    for (a, b) in results.iter().zip(&reference) {
+        assert_eq!(a.outcome, b.outcome, "index {}", a.index);
+    }
+    let _ = fs::remove_file(&path);
+}
+
 /// `stall@i` under a watchdog deadline: the stalled point is released
 /// as `Failed{timeout}` within (approximately) the budget, and every
 /// other point is untouched.
