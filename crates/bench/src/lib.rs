@@ -1,9 +1,9 @@
 //! # ucore-bench — the reproduction harness
 //!
 //! One rendering function per table and figure of the paper, consumed by
-//! the `repro` binary (`cargo run -p ucore-bench --bin repro -- --all`)
-//! and timed, with the real-kernel, sweep and ablation benches, through
-//! the one bench registry in [`snapshot`].
+//! the `repro` binary (`cargo run -p ucore-bench --bin repro -- --all`),
+//! and the one bench registry in [`snapshot`] (real kernels, sweeps,
+//! optimizer, allocator and journal).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -26,24 +26,15 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ucore_calibrate::{Table5, WorkloadColumn};
-use ucore_core::{
-    BoundSet, Budgets, ChipSpec, EvalCache, Optimizer, ParallelFraction, PollackLaw,
-    SerialPowerLaw, UCore,
-};
-use ucore_devices::{Catalog, DeviceId};
-use ucore_itrs::{Roadmap, Trend, TrendSeries};
-use ucore_project::figures;
+use ucore_core::{Budgets, ChipSpec, EvalCache, Optimizer, ParallelFraction, UCore};
+use ucore_devices::DeviceId;
 use ucore_project::journal::{self, JournalRecord};
 use ucore_project::sweep::{figure_points, sweep, SweepConfig};
 use ucore_project::{DesignId, ProjectionEngine, Scenario};
-use ucore_simdev::{counters, PowerModel, SimLab};
 use ucore_workloads::blackscholes::batch;
 use ucore_workloads::fft::{Direction, Fft};
 use ucore_workloads::gen::{random_matrix, random_portfolio, random_signal};
 use ucore_workloads::mmm::{blocked, naive};
-use ucore_workloads::{Workload, WorkloadKind};
-
-use crate::tables;
 
 /// Version of the snapshot JSON schema. Bump on any change to the
 /// serialized shape; the comparator refuses to compare across versions.
@@ -59,13 +50,9 @@ pub const BUDGET_ENV: &str = "UCORE_BENCH_BUDGET_MS";
 /// than this many times the baseline median is a regression.
 pub const DEFAULT_TOLERANCE: f64 = 2.0;
 
-/// The snapshot topics `repro --bench-snapshot` knows, in render order.
-/// Each has a committed `BENCH_<topic>.json`.
+/// The registry's topics, in render order. Each has a committed
+/// `BENCH_<topic>.json`.
 pub const TOPICS: [&str; 2] = ["kernels", "sweep"];
-
-/// Every topic the registry knows, in run order. Only [`TOPICS`] have
-/// committed snapshots; `paper` is timed by `cargo bench` alone.
-pub const REGISTRY_TOPICS: [&str; 3] = ["kernels", "sweep", "paper"];
 
 /// The repo-root file name recording a topic's snapshot.
 pub fn file_name(topic: &str) -> String {
@@ -380,7 +367,7 @@ fn setup<T, E: fmt::Display>(what: &str, r: Result<T, E>) -> Result<T, SnapshotE
 pub type Visitor<'a> = dyn FnMut(&str, &mut dyn FnMut()) + 'a;
 
 /// The bench registry: hands every bench of `topic` (see
-/// [`REGISTRY_TOPICS`]) to `visit` as `(id, closure)`, in a fixed order.
+/// [`TOPICS`]) to `visit` as `(id, closure)`, in a fixed order.
 /// Each closure runs one iteration of the measured work; its inputs are
 /// built before `visit` sees it.
 ///
@@ -392,7 +379,6 @@ pub fn each_bench(topic: &str, visit: &mut Visitor<'_>) -> Result<(), SnapshotEr
     match topic {
         "kernels" => kernel_benches(visit),
         "sweep" => sweep_benches(visit),
-        "paper" => paper_benches(visit),
         other => Err(SnapshotError::UnknownTopic(other.to_string())),
     }
 }
@@ -542,203 +528,6 @@ fn sweep_benches(visit: &mut Visitor<'_>) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// The `paper` topic: one bench per table and figure of the paper, the
-/// real FFT kernel behind Figure 2, and the DESIGN.md §7 ablations.
-fn paper_benches(visit: &mut Visitor<'_>) -> Result<(), SnapshotError> {
-    // Table 1: bound computation and limiter classification swept
-    // across sequential-core sizes, then the rendered table.
-    let budgets = setup("table 1 budgets", Budgets::new(298.0, 34.9, 475.0))?;
-    let specs = [
-        ChipSpec::symmetric(),
-        ChipSpec::asymmetric_offload(),
-        ChipSpec::heterogeneous(setup("u-core", UCore::new(27.4, 0.79))?),
-    ];
-    visit("table1/bound_sweep", &mut || {
-        let mut acc = 0.0;
-        for spec in &specs {
-            for r in 1..=16 {
-                if let Ok(bounds) = BoundSet::compute(spec, &budgets, f64::from(r)) {
-                    acc += bounds.n_max();
-                }
-            }
-        }
-        black_box(acc);
-    });
-    visit("table1/render", &mut || {
-        black_box(tables::table1().ok());
-    });
-
-    // Table 2: catalog construction and area normalization.
-    visit("table2/catalog_build", &mut || {
-        black_box(Catalog::paper());
-    });
-    let catalog = Catalog::paper();
-    visit("table2/area_normalization", &mut || {
-        let mut acc = 0.0;
-        for id in DeviceId::ALL {
-            if let Ok(area) = catalog.normalized_core_area(id) {
-                acc += area;
-            }
-        }
-        black_box(acc);
-    });
-
-    // Table 3: workload characterization (FLOP counts, intensities).
-    visit("table3/characterize_all", &mut || {
-        let mut acc = 0.0;
-        for log2 in 4..=20 {
-            if let Ok(fft) = Workload::fft(1usize << log2) {
-                acc += fft.arithmetic_intensity() + fft.flops_per_unit();
-            }
-        }
-        for n in [64usize, 128, 512, 2048] {
-            if let Ok(mmm) = Workload::mmm(n) {
-                acc += mmm.bytes_per_flop();
-            }
-        }
-        acc += Workload::black_scholes().compulsory_bytes_per_unit();
-        black_box(acc);
-    });
-
-    // Table 4: the simulated lab's MMM and Black-Scholes measurements.
-    let lab = SimLab::paper();
-    visit("table4/measure_mmm_and_bs", &mut || {
-        let mmm = lab.table4(WorkloadKind::Mmm);
-        let bs = lab.table4(WorkloadKind::BlackScholes);
-        black_box((mmm.len(), bs.len()));
-    });
-
-    // Table 5: the full calibration pipeline.
-    visit("table5/full_derivation", &mut || {
-        black_box(Table5::derive().ok());
-    });
-
-    // Table 6: roadmap construction and the scenario derivations.
-    visit("table6/roadmap_and_scenarios", &mut || {
-        let base = Roadmap::itrs_2009();
-        let variants = [
-            base.with_bandwidth_gb_s(90.0),
-            base.with_bandwidth_gb_s(1000.0),
-            base.with_core_area_mm2(216.0),
-            base.with_power_budget_w(200.0),
-            base.with_power_budget_w(10.0),
-        ];
-        black_box(variants.iter().map(|r| r.nodes().len()).sum::<usize>());
-    });
-
-    // Figure 2: the simulated-lab FFT sweep and the real FFT kernel.
-    visit("fig2/lab_sweep_all_devices", &mut || {
-        let mut points = 0usize;
-        for device in DeviceId::ALL {
-            points += lab.fft_sweep(device).len();
-        }
-        black_box(points);
-    });
-    for log2 in [6u32, 10, 14] {
-        let n = 1usize << log2;
-        let plan = setup("fft plan", Fft::new(n))?;
-        let signal = random_signal(n, 1);
-        let mut buf = signal.clone();
-        visit(&format!("fig2/real_fft_kernel/{n}"), &mut || {
-            buf.copy_from_slice(&signal);
-            if plan.transform(&mut buf, Direction::Forward).is_ok() {
-                black_box(buf[0]);
-            }
-        });
-    }
-
-    // Figure 3: power breakdowns and the uncore subtraction.
-    visit("fig3/breakdown_sweep", &mut || {
-        let mut acc = 0.0;
-        for device in DeviceId::ALL {
-            for m in lab.fft_sweep(device) {
-                acc += m.breakdown.total();
-            }
-        }
-        black_box(acc);
-    });
-    let model = PowerModel::for_device(DeviceId::Gtx285);
-    visit("fig3/uncore_subtraction", &mut || {
-        let mut acc = 0.0;
-        for traffic in 0..200 {
-            let breakdown = model.breakdown(66.8, f64::from(traffic));
-            acc += model.subtract_uncore(breakdown.total(), f64::from(traffic));
-        }
-        black_box(acc);
-    });
-
-    // Figure 4: the bandwidth-counter sweep.
-    visit("fig4/bandwidth_counter_sweep", &mut || {
-        black_box(counters::fft_bandwidth_sweep(DeviceId::Gtx285, true).len());
-    });
-
-    // Figure 5: ITRS trend-series construction and interpolation.
-    visit("fig5/trend_series", &mut || {
-        let mut acc = 0.0;
-        for trend in Trend::ALL {
-            let series = TrendSeries::itrs_2009(trend);
-            for year in 2011..=2022 {
-                acc += series.at(year).unwrap_or(0.0);
-            }
-        }
-        black_box(acc);
-    });
-
-    // Figures 6-10: the full projections through the sweep engine.
-    let projections = [
-        ("fig6/fft1024_projection", figures::figure6 as fn() -> _),
-        ("fig7/mmm_projection", figures::figure7),
-        ("fig8/bs_projection", figures::figure8),
-        ("fig9/terabyte_projection", figures::figure9),
-        ("fig10/energy_projection", figures::figure10),
-    ];
-    for (id, project) in projections {
-        visit(id, &mut || {
-            black_box(project().ok());
-        });
-    }
-
-    // Ablations (DESIGN.md §7) at one design point: the ASIC FFT u-core
-    // at 22 nm budgets. The orderings they show are pinned by
-    // `ablation_orderings_hold` in ucore-core's property tests.
-    let asic_fft = setup("ablation u-core", UCore::new(489.0, 4.96))?;
-    let spec = |alpha: f64, pollack: f64| -> Result<ChipSpec, SnapshotError> {
-        Ok(ChipSpec::heterogeneous(asic_fft)
-            .with_power_law(setup("serial power law", SerialPowerLaw::new(alpha))?)
-            .with_law(setup("pollack law", PollackLaw::new(pollack))?))
-    };
-    let budgets = setup("ablation budgets", Budgets::new(75.0, 17.5, 59.0))?;
-    let fraction = |v: f64| setup("fraction", ParallelFraction::new(v));
-    let (f50, f90, f99) = (fraction(0.5)?, fraction(0.9)?, fraction(0.99)?);
-    let speedup = |opt: &Optimizer, spec: &ChipSpec, f: ParallelFraction| {
-        opt.optimize(spec, &budgets, f).map_or(0.0, |best| best.evaluation.speedup.get())
-    };
-    let paper_opt = Optimizer::paper_default();
-    let base = spec(1.75, 0.5)?;
-    let harsh = spec(2.25, 0.5)?;
-    visit("ablation/alpha", &mut || {
-        black_box((speedup(&paper_opt, &base, f90), speedup(&paper_opt, &harsh, f90)));
-    });
-    let uncapped = setup("r sweep", Optimizer::new(1.0, 64.0, 1.0))?;
-    visit("ablation/r_max", &mut || {
-        black_box((speedup(&paper_opt, &base, f50), speedup(&uncapped, &base, f50)));
-    });
-    let coarse = setup("r sweep", Optimizer::new(1.0, 16.0, 1.0))?;
-    let fine = setup("r sweep", Optimizer::new(1.0, 16.0, 0.125))?;
-    visit("ablation/r_granularity", &mut || {
-        black_box((speedup(&coarse, &base, f90), speedup(&fine, &base, f90)));
-    });
-    let pollack = [spec(1.75, 0.4)?, base, spec(1.75, 0.6)?];
-    visit("ablation/pollack_exponent", &mut || {
-        black_box(pollack.iter().map(|s| speedup(&paper_opt, s, f90)).sum::<f64>());
-    });
-    let bandwidth = [1.0, 0.75, 0.5].map(|e| base.with_bandwidth_exponent(e));
-    visit("ablation/bw_scaling", &mut || {
-        black_box(bandwidth.iter().map(|s| speedup(&paper_opt, s, f99)).sum::<f64>());
-    });
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,6 +577,38 @@ mod tests {
         ] {
             let got = BenchSnapshot::from_slice(bad.as_bytes());
             assert!(matches!(got, Err(SnapshotError::Parse(_))), "{bad}: {got:?}");
+        }
+    }
+
+    /// No byte string panics the snapshot decoder. This crate has no
+    /// dev-dependencies, so the cases come from an inline xorshift
+    /// instead of proptest: 4,096 copies of a valid snapshot with up to
+    /// eight random byte edits each (overwrite, insert, delete or
+    /// truncate), so the field checks behind the JSON parser see them.
+    #[test]
+    fn from_slice_is_total_on_arbitrary_bytes() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..4096 {
+            let mut bytes = ONE_ENTRY.as_bytes().to_vec();
+            for _ in 0..next() % 9 {
+                let at = (next() as usize) % (bytes.len() + 1);
+                let b = next() as u8;
+                match next() % 4 {
+                    0 if at < bytes.len() => bytes[at] = b,
+                    1 => bytes.insert(at, b),
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.truncate(at),
+                }
+            }
+            let _ = BenchSnapshot::from_slice(&bytes);
         }
     }
 
@@ -889,25 +710,23 @@ mod tests {
     #[test]
     fn registry_runs_every_bench_once_in_committed_order() {
         let mut all = Vec::new();
-        for topic in REGISTRY_TOPICS {
+        for topic in TOPICS {
             let mut ids = Vec::new();
             each_bench(topic, &mut |id, f| {
                 f();
                 ids.push(id.to_string());
             })
             .unwrap_or_else(|e| panic!("{topic}: {e}"));
-            if TOPICS.contains(&topic) {
-                let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                    .join("../..")
-                    .join(file_name(topic));
-                let committed = BenchSnapshot::from_slice(&std::fs::read(&path).unwrap()).unwrap();
-                let committed_ids: Vec<&str> =
-                    committed.entries.iter().map(|e| e.id.as_str()).collect();
-                assert_eq!(ids, committed_ids, "{topic} ids drifted from {}", path.display());
-            }
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../..")
+                .join(file_name(topic));
+            let committed = BenchSnapshot::from_slice(&std::fs::read(&path).unwrap()).unwrap();
+            let committed_ids: Vec<&str> =
+                committed.entries.iter().map(|e| e.id.as_str()).collect();
+            assert_eq!(ids, committed_ids, "{topic} ids drifted from {}", path.display());
             all.extend(ids);
         }
-        assert_eq!(all.len(), 42, "{all:?}");
+        assert_eq!(all.len(), 16, "{all:?}");
         let unique: std::collections::HashSet<&String> = all.iter().collect();
         assert_eq!(unique.len(), all.len(), "duplicate bench ids: {all:?}");
     }

@@ -57,7 +57,7 @@ impl fmt::Display for Limiter {
 pub enum Infeasibility {
     /// `r` is not a positive finite number.
     InvalidR,
-    /// `r^(α/2) > P`: the sequential core alone exceeds the power budget.
+    /// `perf(r)^α > P`: the sequential core alone exceeds the power budget.
     SerialPower,
     /// `perf(r)` generates more traffic than `B` in the serial phase.
     SerialBandwidth,
@@ -118,7 +118,7 @@ impl BoundSet {
     /// # Errors
     ///
     /// Returns [`ModelError::Infeasible`] if the serial phase itself
-    /// violates a bound (`r^(α/2) > P` or `perf(r) > B`), or if the
+    /// violates a bound (`perf(r)^α > P` or `perf(r)^e > B`), or if the
     /// parallel-phase bounds leave no usable resources (`n_max < r`).
     pub fn compute(spec: &ChipSpec, budgets: &Budgets, r: f64) -> Result<Self, ModelError> {
         crate::error::ensure_positive("r", r)?;
@@ -131,8 +131,8 @@ impl BoundSet {
                 },
                 Infeasibility::SerialPower => ModelError::Infeasible {
                     reason: format!(
-                        "serial power bound violated: r^(alpha/2) = {:.3} > P = {:.3}",
-                        spec.power_law().power_of_area(r),
+                        "serial power bound violated: perf(r)^alpha = {:.3} > P = {:.3}",
+                        spec.serial_power(r),
                         p
                     ),
                 },
@@ -192,7 +192,8 @@ impl BoundSet {
         let b = budgets.bandwidth();
 
         // Serial-phase caps: the sequential core alone must fit.
-        let r_max_power = power_law.max_area_for_power(p);
+        // Serial power: perf(r)^α = r^(kα) <= P  =>  r <= P^(1/(kα)).
+        let r_max_power = p.powf(1.0 / (law.exponent() * power_law.alpha()));
         // Serial bandwidth: perf(r)^e <= B  =>  perf(r) <= B^(1/e).
         let r_max_bandwidth = law.area_for_perf(spec.max_perf_for_bandwidth(b));
 
@@ -337,6 +338,10 @@ mod tests {
         assert!((bs.r_max_power() - 10f64.powf(2.0 / 1.75)).abs() < 1e-9);
         // r <= B^2 = 9
         assert!((bs.r_max_bandwidth() - 9.0).abs() < 1e-9);
+        // A hungrier serial core (α = 2.25) gets a smaller cap.
+        let harsh = spec.with_power_law(crate::seq::SerialPowerLaw::scenario_six());
+        let bs_harsh = BoundSet::compute(&harsh, &budgets(100.0, 10.0, 3.0), 1.0).unwrap();
+        assert!(bs_harsh.r_max_power() < bs.r_max_power());
     }
 
     #[test]

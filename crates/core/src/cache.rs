@@ -22,7 +22,7 @@
 use crate::budget::Budgets;
 use crate::chip::{ChipKind, ChipSpec};
 use crate::error::ModelError;
-use crate::optimize::{Objective, OptimalDesign, Optimizer};
+use crate::optimize::{OptimalDesign, Optimizer};
 use crate::units::ParallelFraction;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -87,7 +87,6 @@ pub struct EvalKey {
     r_min: F64Key,
     r_max: F64Key,
     r_step: F64Key,
-    objective: Objective,
     // Chip organization: discriminant plus the U-core's (µ, φ) when
     // heterogeneous (zero otherwise — the discriminant disambiguates).
     kind: u8,
@@ -121,7 +120,6 @@ impl EvalKey {
             r_min: optimizer.r_min().into(),
             r_max: optimizer.r_max().into(),
             r_step: optimizer.r_step().into(),
-            objective: optimizer.objective(),
             kind,
             mu: mu.into(),
             phi: phi.into(),

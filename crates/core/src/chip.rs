@@ -142,8 +142,8 @@ impl ChipSpec {
     /// off-chip traffic is modeled as `perf^e`. The paper assumes
     /// `e = 1` ("bandwidth scales linearly with respect to BCE
     /// performance"); `e < 1` models designs whose caches absorb a
-    /// growing share of traffic as they scale (the `ablation_bw_scaling`
-    /// study).
+    /// growing share of traffic as they scale (the bandwidth ablation
+    /// of `ablation_orderings_hold`).
     ///
     /// # Panics
     ///

@@ -38,11 +38,6 @@ impl EnergyBreakdown {
     pub fn total(&self) -> f64 {
         self.serial + self.parallel
     }
-
-    /// Energy-delay product, `total × time`.
-    pub fn energy_delay(&self) -> f64 {
-        self.total() * self.time
-    }
 }
 
 /// Computes workload energy for designs at a given technology node.
@@ -195,12 +190,6 @@ mod tests {
         let spec = ChipSpec::heterogeneous(u);
         let e = m.breakdown(&spec, f(0.9), 10.0, 1.0).unwrap();
         assert!((e.parallel - 0.9 * 0.4 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn energy_delay_product() {
-        let b = EnergyBreakdown { serial: 0.25, parallel: 0.25, time: 0.1 };
-        assert!((b.energy_delay() - 0.05).abs() < 1e-15);
     }
 
     #[test]

@@ -67,7 +67,6 @@ pub mod chip;
 pub mod energy;
 pub mod error;
 pub mod hillmarty;
-pub mod metrics;
 pub mod mix;
 pub mod optimize;
 pub mod portfolio;
@@ -83,9 +82,8 @@ pub use cache::{CacheStats, EvalCache, EvalKey, F64Key};
 pub use chip::{ChipSpec, DesignPoint, Evaluation};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::{ErrorCategory, ModelError};
-pub use metrics::{energy_delay_product, perf_per_watt};
 pub use mix::{MixedChip, UCorePartition};
-pub use optimize::{Objective, OptimalDesign, Optimizer};
+pub use optimize::{OptimalDesign, Optimizer};
 pub use portfolio::{Allocation, PortfolioChip};
 pub use segments::{Segment, SegmentedWorkload, WEIGHT_SUM_TOLERANCE};
 pub use seq::{PollackLaw, SequentialLaw, SerialPowerLaw, DEFAULT_ALPHA, SCENARIO_ALPHA};

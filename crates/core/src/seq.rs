@@ -23,7 +23,7 @@ pub const SCENARIO_ALPHA: f64 = 2.25;
 ///
 /// The trait is sealed by construction: the model only ever consumes it via
 /// the concrete [`PollackLaw`], but the trait allows experiments with other
-/// exponents (see the `ablation_pollack` bench).
+/// exponents (see `ablation_orderings_hold` in the property tests).
 pub trait SequentialLaw {
     /// Performance of a sequential core built from `r` BCE of area.
     ///
@@ -144,12 +144,6 @@ impl SerialPowerLaw {
     pub fn power_of_area(&self, r: f64) -> f64 {
         r.powf(self.alpha / 2.0)
     }
-
-    /// The largest sequential-core area whose power fits within budget `P`:
-    /// inverts the serial power bound `r^(α/2) ≤ P` to `r ≤ P^(2/α)`.
-    pub fn max_area_for_power(&self, power_budget: f64) -> f64 {
-        power_budget.powf(2.0 / self.alpha)
-    }
 }
 
 impl Default for SerialPowerLaw {
@@ -211,20 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn max_area_inverts_power_of_area() {
-        let law = SerialPowerLaw::paper_default();
-        for &p in &[1.0, 2.0, 7.4, 100.0] {
-            let r = law.max_area_for_power(p);
-            assert!((law.power_of_area(r) - p).abs() < 1e-9, "p = {p}");
-        }
-    }
-
-    #[test]
     fn higher_alpha_means_hungrier_core() {
         let mild = SerialPowerLaw::paper_default();
         let harsh = SerialPowerLaw::scenario_six();
         assert!(harsh.power_of_area(4.0) > mild.power_of_area(4.0));
-        // ... and a smaller core for the same budget.
-        assert!(harsh.max_area_for_power(10.0) < mild.max_area_for_power(10.0));
     }
 }

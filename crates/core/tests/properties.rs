@@ -221,9 +221,86 @@ proptest! {
     }
 }
 
-/// The sensitivity orderings behind the `ablation/*` benches (DESIGN.md
-/// §7), at the bench's design point: the ASIC FFT u-core (µ = 489,
-/// φ = 4.96) at 22 nm budgets (75, 17.5, 59).
+/// The optimal speedup of every chip kind under the paper's sweep, or 0
+/// when nothing is feasible (more resources only ever add feasible
+/// designs).
+fn optima(budgets: &Budgets, mu: f64, phi: f64, f: ParallelFraction) -> [f64; 5] {
+    let opt = Optimizer::paper_default();
+    [
+        ChipSpec::symmetric(),
+        ChipSpec::asymmetric(),
+        ChipSpec::asymmetric_offload(),
+        ChipSpec::dynamic(),
+        ChipSpec::heterogeneous(UCore::new(mu, phi).unwrap()),
+    ]
+    .map(|spec| {
+        opt.optimize(&spec, budgets, f)
+            .map_or(0.0, |best| best.evaluation.speedup.get())
+    })
+}
+
+// Metamorphic checks on the optimum itself, independent of how the `r`
+// scan finds it. Each grown input reaches the speedup through steps that
+// stay monotone once rounded (correctly rounded arithmetic, and `powf`
+// for the serial caps), so the comparisons are exact.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn more_area_power_or_bandwidth_never_hurts(
+        a in positive(1.0, 500.0),
+        p in positive(0.5, 120.0),
+        b in positive(0.5, 1200.0),
+        mu in positive(0.1, 60.0),
+        phi in positive(0.05, 6.0),
+        f in fraction(),
+        grow in positive(1.0, 4.0),
+    ) {
+        let base = optima(&Budgets::new(a, p, b).unwrap(), mu, phi, f);
+        for (label, bigger) in [
+            ("A", Budgets::new(a * grow, p, b)),
+            ("P", Budgets::new(a, p * grow, b)),
+            ("B", Budgets::new(a, p, b * grow)),
+        ] {
+            let bigger = optima(&bigger.unwrap(), mu, phi, f);
+            for (lo, hi) in base.iter().zip(&bigger) {
+                prop_assert!(hi >= lo, "{label} x{grow}: {base:?} -> {bigger:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn faster_ucores_never_hurt_and_hungrier_ones_never_help(
+        a in positive(1.0, 500.0),
+        p in positive(0.5, 120.0),
+        b in positive(0.5, 1200.0),
+        mu in positive(0.1, 60.0),
+        phi in positive(0.05, 6.0),
+        f in fraction(),
+        grow in positive(1.0, 4.0),
+    ) {
+        let budgets = Budgets::new(a, p, b).unwrap();
+        let base = optima(&budgets, mu, phi, f)[4];
+        let faster = optima(&budgets, mu * grow, phi, f)[4];
+        // The one inexact comparison. With bandwidth binding, the U-cores
+        // deliver µ·((C/µ + r) − r), which is C for every µ over the
+        // reals, so the optimum is flat in µ; C/µ falls while µ rises,
+        // and rounding C/µ + r moves the product by up to about
+        // r/(C/µ) ≤ 8e3 ulps either way here (C ≥ 0.5, µ ≤ 240,
+        // r ≤ 16), i.e. ~1e-12 relative. Allow 1e-9.
+        prop_assert!(
+            faster >= base * (1.0 - 1e-9),
+            "mu {mu} -> {}: {base} -> {faster}",
+            mu * grow
+        );
+        let hungrier = optima(&budgets, mu, phi * grow, f)[4];
+        prop_assert!(hungrier <= base, "phi {phi} -> {}: {base} -> {hungrier}", phi * grow);
+    }
+}
+
+/// The DESIGN.md §7 ablation orderings, checked here alone, at one
+/// design point: the ASIC FFT u-core (µ = 489, φ = 4.96) at 22 nm
+/// budgets (75, 17.5, 59).
 #[test]
 fn ablation_orderings_hold() {
     let budgets = Budgets::new(75.0, 17.5, 59.0).unwrap();

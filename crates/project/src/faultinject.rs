@@ -433,4 +433,25 @@ mod tests {
             assert!(err.to_string().contains("invalid fault spec"), "{bad}");
         }
     }
+
+    proptest::proptest! {
+        /// No string panics the `UCORE_FAULT_INJECT` parser. Bytes below
+        /// 128 pick a token of the syntax; the rest are arbitrary chars.
+        #[test]
+        fn parse_is_total_on_arbitrary_strings(
+            bytes in proptest::collection::vec(0u8..=255, 32),
+            len in 0usize..=32,
+        ) {
+            const TOKENS: [&str; 10] =
+                [",", "@", "x", " ", "kill", "stall", "eio", "3", "-1", "99999999999999999999"];
+            let text: String = bytes[..len]
+                .iter()
+                .map(|&b| match b {
+                    0..=127 => TOKENS[usize::from(b) % TOKENS.len()].to_string(),
+                    _ => char::from(b).to_string(),
+                })
+                .collect();
+            let _ = FaultPlan::parse(&text);
+        }
+    }
 }

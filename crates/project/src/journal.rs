@@ -981,6 +981,33 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// No line panics the decoder. Bytes below 128 pick a token of
+        /// the record syntax (a real record's fields among them); the
+        /// rest are arbitrary chars. Each text is decoded as a whole
+        /// line and again framed with its valid checksum, so the field
+        /// parsers behind the CRC check see it too.
+        #[test]
+        fn decode_record_is_total_on_arbitrary_lines(
+            bytes in proptest::collection::vec(0u8..=255, 96),
+            len in 0usize..=96,
+        ) {
+            let line = encode_record(&record(3, 7, feasible()));
+            let mut tokens: Vec<&str> = line.trim_end().split('\t').collect();
+            tokens.extend(["\t", "\\", "\\t", "failed", "infeasible", "-1"]);
+            let text: String = bytes[..len]
+                .iter()
+                .map(|&b| match b {
+                    0..=127 => tokens[usize::from(b) % tokens.len()].to_string(),
+                    _ => char::from(b).to_string(),
+                })
+                .collect();
+            let _ = decode_record(&text, 1);
+            let framed = format!("{JOURNAL_VERSION}\t{:08x}\t{text}", crc32(text.as_bytes()));
+            let _ = decode_record(&framed, 1);
+        }
+    }
+
     #[test]
     fn record_lines_are_pinned() {
         let specials = Outcome::Feasible(NodePoint {

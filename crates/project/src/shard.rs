@@ -788,4 +788,27 @@ mod tests {
             None => String::from("was killed by a signal"),
         }
     }
+
+    proptest::proptest! {
+        /// No string panics the `--shard I/N` parser, and whatever it
+        /// accepts names a shard inside its count. Bytes below 128 pick
+        /// a token of the syntax; the rest are arbitrary chars.
+        #[test]
+        fn parse_is_total_on_arbitrary_strings(
+            bytes in proptest::collection::vec(0u8..=255, 24),
+            len in 0usize..=24,
+        ) {
+            const TOKENS: [&str; 7] = ["/", "0", "7", " ", "-", "+", "99999999999999999999"];
+            let text: String = bytes[..len]
+                .iter()
+                .map(|&b| match b {
+                    0..=127 => TOKENS[usize::from(b) % TOKENS.len()].to_string(),
+                    _ => char::from(b).to_string(),
+                })
+                .collect();
+            if let Ok(spec) = ShardSpec::parse(&text) {
+                proptest::prop_assert!(spec.index() < spec.count(), "{text:?}");
+            }
+        }
+    }
 }
