@@ -11,7 +11,7 @@
 //! repro --json figure-6 --out fig6.json   # crash-safe artifact write
 //! repro --journal run.jsonl --json figure-6   # durable run
 //! repro --journal run.jsonl --resume --json figure-6   # resume it
-//! repro --timeout-ms 500 --retries 2 ...   # watchdog + retry policy
+//! repro --timeout-ms 500 --retries 2 ...   # stall timeout + retry policy
 //! ```
 //!
 //! `--stats` composes with any other flag. The counters go to stderr so
@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 use ucore_bench::snapshot;
 use ucore_obs::MetricsSnapshot;
 use ucore_project::durability::{self, DurabilityConfig, DurabilityGuard};
-use ucore_project::faultinject::{self, FaultPlan};
+use ucore_project::faultinject::FaultPlan;
 use ucore_project::shard::{self, OrchestratorConfig, ShardSpec};
 
 fn usage() -> &'static str {
@@ -74,7 +74,7 @@ fn usage() -> &'static str {
      --max-failures N: exit nonzero if more than N sweep points fail (default 0)\n\
      --journal PATH: stream completed sweep points to an append-only checksummed journal\n\
      --resume: replay the journal first; only missing points are re-evaluated (requires --journal)\n\
-     --timeout-ms N: per-point watchdog deadline; stuck points become Failed{timeout}\n\
+     --timeout-ms N: release an injected stall (stall@i) as Failed{timeout} after N ms\n\
      --retries N: retry failed points up to N times with deterministic backoff (default 0)\n\
      --shards N: orchestrate the run across N worker processes sharing --journal (requires --journal)\n\
      --shard I/N: worker mode — evaluate and journal only shard I's index-range lease (requires --journal)\n\
@@ -509,15 +509,17 @@ fn run_bench_check(cli: &Cli, topic: &str) -> Result<usize, String> {
     Ok(breaches_total)
 }
 
-/// Activates the durability layer when any of its flags were given.
-/// Returns the guard keeping it active (`None` when the run is not
-/// durable), after reporting what a resume replayed.
-fn activate_durability(cli: &Cli) -> Result<Option<DurabilityGuard>, String> {
+/// Activates the durability layer when any of its flags were given or
+/// `faults` injects anything. Returns the guard keeping it active
+/// (`None` when the run is not durable), after reporting what a resume
+/// replayed.
+fn activate_durability(cli: &Cli, faults: FaultPlan) -> Result<Option<DurabilityGuard>, String> {
     let wanted = cli.journal.is_some()
         || cli.resume
         || cli.timeout_ms.is_some()
         || cli.retries > 0
-        || cli.shard.is_some();
+        || cli.shard.is_some()
+        || !faults.is_empty();
     if !wanted {
         return Ok(None);
     }
@@ -527,6 +529,7 @@ fn activate_durability(cli: &Cli) -> Result<Option<DurabilityGuard>, String> {
         timeout: cli.timeout_ms.map(Duration::from_millis),
         retries: cli.retries,
         shard: cli.shard,
+        faults,
     };
     let (guard, report) = durability::activate(config).map_err(|e| e.to_string())?;
     if cli.resume {
@@ -867,21 +870,22 @@ fn main() -> ExitCode {
     // journal — replay makes the output byte-identical to a
     // single-process run, and any points an abandoned lease never
     // journaled are simply evaluated here, in-process.
-    let mut _shard_quiet = None;
+    let mut faults =
+        FaultPlan::from_env_value(std::env::var("UCORE_FAULT_INJECT").ok().as_deref());
     if let Some(shards) = cli.shards {
         if let Err(e) = run_shard_fleet(&cli, shards) {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
         // The workers inherited any UCORE_FAULT_INJECT plan and already
-        // honored it; an empty active plan keeps the orchestrator's own
-        // replay-render from re-triggering the same fault.
-        _shard_quiet = Some(faultinject::activate(FaultPlan::new()));
+        // honored it; the orchestrator's own replay-render leaves the
+        // plan out so the same fault does not fire again.
+        faults = FaultPlan::new();
         cli.resume = true;
     }
     let cli = cli;
     // Keep the journal alive (and fsync'd) for the whole render.
-    let _durability_guard = match activate_durability(&cli) {
+    let _durability_guard = match activate_durability(&cli, faults) {
         Ok(guard) => guard,
         Err(e) => {
             eprintln!("{e}");

@@ -387,8 +387,8 @@ fn stats_surface_dropped_failures_beyond_the_log_cap() {
 
 #[test]
 fn unparsable_fault_plan_warns_once_per_sweep_even_when_journaling() {
-    // The plan is resolved once per sweep; journal appends reuse it
-    // rather than re-reading the environment for every point.
+    // `repro` parses the plan once at startup; neither sweeps nor
+    // journal appends re-read the environment.
     let journal = scratch("bogus-plan.jsonl");
     let out = repro_with_fault(
         &["--journal", journal.to_str().unwrap(), "--json", "figure-6"],
@@ -402,4 +402,13 @@ fn unparsable_fault_plan_warns_once_per_sweep_even_when_journaling() {
         1,
         "one sweep, one warning: {err}"
     );
+}
+
+#[test]
+fn unparsable_fault_plan_warns_once_per_process() {
+    // `--all` runs 14 sweeps; the plan is parsed once, at startup.
+    let out = repro_with_fault(&["--all"], "bogus");
+    assert!(out.status.success(), "an ignored plan never fails the run");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(err.matches("UCORE_FAULT_INJECT ignored").count(), 1, "{err}");
 }

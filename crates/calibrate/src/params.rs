@@ -1,6 +1,5 @@
 //! Footnote 1: deriving `(µ, φ)` from measured observables.
 
-use serde::Serialize;
 use std::error::Error;
 use std::fmt;
 use ucore_core::{ModelError, UCore};
@@ -89,29 +88,6 @@ pub fn derive_ucore(
     Ok(UCore::new(mu, phi)?)
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-/// The i7-derived BCE observables in area and energy terms, useful for
-/// reporting alongside Table 5.
-pub struct BceDensity {
-    /// BCE performance per mm² (equals the workload unit per mm²).
-    pub perf_per_mm2: f64,
-    /// BCE performance per watt.
-    pub perf_per_watt: f64,
-}
-
-/// The BCE's `perf/mm²` and `perf/W` derived from an i7 measurement:
-/// a single i7 core is `r` BCE of area delivering `√r` BCE of
-/// performance at `r^(α/2)` BCE of power.
-pub fn bce_density(baseline: &Measurement, r: f64, alpha: f64) -> BceDensity {
-    // x_bce = (bce perf) / (bce area): from x_i7 = (√r · p_bce · cores) /
-    // (r · a_bce · cores) = x_bce / √r  =>  x_bce = x_i7 · √r.
-    let perf_per_mm2 = baseline.perf_per_mm2 * r.sqrt();
-    // e_bce = e_i7 / r^((1-α)/2 · ...): e_i7 = (√r·p)/(r^(α/2)·w) =
-    // e_bce · r^((1-α)/2)  =>  e_bce = e_i7 / r^((1-α)/2).
-    let perf_per_watt = baseline.perf_per_joule / r.powf((1.0 - alpha) / 2.0);
-    BceDensity { perf_per_mm2, perf_per_watt }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,16 +162,5 @@ mod tests {
         let i7 = measure(DeviceId::CoreI7_960, w);
         let u = derive_ucore(&i7, &i7, 2.0, 1.75).unwrap();
         assert!((u.mu() - 1.0 / 2f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bce_density_matches_hand_derivation() {
-        let w = Workload::mmm(128).unwrap();
-        let i7 = measure(DeviceId::CoreI7_960, w);
-        let bce = bce_density(&i7, 2.0, 1.75);
-        // x_bce = 0.50 * sqrt(2) ≈ 0.707 GFLOP/s/mm².
-        assert!((bce.perf_per_mm2 - 0.50 * 2f64.sqrt()).abs() < 1e-9);
-        // e_bce = 1.14 / 2^(-0.375) ≈ 1.479 GFLOP/J.
-        assert!((bce.perf_per_watt - 1.14 / 2f64.powf(-0.375)).abs() < 1e-9);
     }
 }

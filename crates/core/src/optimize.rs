@@ -86,7 +86,11 @@ impl Optimizer {
     ///
     /// # Errors
     ///
-    /// Returns an error unless `0 < r_min ≤ r_max` and `r_step > 0`.
+    /// Returns an error unless `0 < r_min ≤ r_max` and `r_step > 0`, and
+    /// when `r_step` is below one ulp of the sweep's top `r_max + 1e-9`:
+    /// such a step can round `r + r_step` back to `r`, so the sweep would
+    /// never end. At or above that ulp every `r` the sweep visits
+    /// advances.
     pub fn new(r_min: f64, r_max: f64, r_step: f64) -> Result<Self, ModelError> {
         ensure_positive("r_min", r_min)?;
         ensure_positive("r_max", r_max)?;
@@ -94,6 +98,14 @@ impl Optimizer {
         if r_min > r_max {
             return Err(ModelError::Infeasible {
                 reason: format!("empty r sweep: r_min = {r_min} > r_max = {r_max}"),
+            });
+        }
+        let top = r_max + 1e-9;
+        if r_step < top.next_up() - top {
+            return Err(ModelError::Infeasible {
+                reason: format!(
+                    "r_step = {r_step} is below one ulp of r_max = {r_max}: r would stop advancing"
+                ),
             });
         }
         Ok(Optimizer {
@@ -288,6 +300,17 @@ mod tests {
         assert_eq!(opt.r_max(), 16.0);
         assert_eq!(opt.r_step(), 1.0);
         assert_eq!(opt.candidates().len(), 16);
+    }
+
+    #[test]
+    fn non_advancing_steps_are_rejected() {
+        assert!(Optimizer::new(1.0, 16.0, 1e-17).is_err());
+        // Half an ulp of 16 is a round-half-even tie: 16 + step == 16.
+        let half_ulp = (16f64.next_up() - 16.0) / 2.0;
+        assert_eq!(16.0 + half_ulp, 16.0);
+        assert!(Optimizer::new(1.0, 16.0, half_ulp).is_err());
+        // The engine's sweep, integer r, still builds.
+        assert!(Optimizer::new(1.0, 16.0, 1.0).is_ok());
     }
 
     #[test]

@@ -243,11 +243,6 @@ impl ProjectionEngine {
         f: ParallelFraction,
         use_cache: bool,
     ) -> Option<NodePoint> {
-        // Cooperative watchdog: under a `--timeout-ms` deadline, a point
-        // that overstays its budget is cancelled here (as a contained
-        // panic) instead of hanging its sweep. A no-op when no
-        // deadline is armed on this thread.
-        crate::durability::watchdog_checkpoint();
         let optimizer = self.optimizer();
         let best = {
             let _span = ucore_obs::span!("engine.optimize");
@@ -302,7 +297,6 @@ impl ProjectionEngine {
         budgets: &Budgets,
         f: ParallelFraction,
     ) -> Option<NodePoint> {
-        crate::durability::watchdog_checkpoint();
         let _span = ucore_obs::span!("engine.portfolio");
         let workload = composite_workload(&self.table5, design.device(), f).ok()?;
         let power_law = self.scenario.power_law();

@@ -14,21 +14,27 @@
 //!
 //! # Activation
 //!
-//! Programmatically, [`activate`] installs a [`FaultPlan`] and returns a
-//! guard that removes it on drop:
+//! A plan is part of a run's configuration: it travels in
+//! [`DurabilityConfig::faults`](crate::durability::DurabilityConfig::faults)
+//! into the [`RunContext`](crate::durability::RunContext) a sweep runs
+//! under, so two contexts in one process inject independently:
 //!
 //! ```
+//! use ucore_project::durability::{DurabilityConfig, RunContext};
 //! use ucore_project::faultinject::{Fault, FaultPlan};
-//! let _guard = ucore_project::faultinject::activate(
-//!     FaultPlan::new().with(3, Fault::Panic),
-//! );
-//! // sweeps run while the guard lives see a forced panic at point 3
+//! let (ctx, _) = RunContext::open(DurabilityConfig {
+//!     faults: FaultPlan::new().with(3, Fault::Panic),
+//!     ..Default::default()
+//! })?;
+//! // sweeps run under `ctx` see a forced panic at point 3
+//! # Ok::<(), ucore_project::DurabilityError>(())
 //! ```
 //!
 //! From the outside, the `UCORE_FAULT_INJECT` environment variable
 //! carries the same plan in `kind@index[,kind@index...]` syntax, e.g.
 //! `UCORE_FAULT_INJECT=panic@3,nan@7` — the form the CI fault-injection
-//! job and the `repro` acceptance tests use. Kinds: `panic`, `nan`,
+//! job and the `repro` acceptance tests use. The binaries read it once
+//! at startup ([`FaultPlan::from_env_value`]). Kinds: `panic`, `nan`,
 //! `inf`, `cache`, `kill`, `stall`, `enospc`, `eio`.
 //!
 //! # Transient faults
@@ -45,7 +51,7 @@
 //! `kill@i` aborts the whole process the moment point *i* is claimed
 //! (after fsyncing the run journal — a deterministic `kill -9` for the
 //! crash/resume suite), and `stall@i` makes point *i* hang until the
-//! per-point watchdog deadline converts it to `Failed{timeout}`.
+//! `--timeout-ms` budget converts it to `Failed{timeout}`.
 //!
 //! # Disk faults
 //!
@@ -60,7 +66,6 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, RwLock};
 
 /// One kind of injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,9 +86,9 @@ pub enum Fault {
     /// run journal is fsync'd) — the deterministic crash behind the
     /// kill-and-resume durability suite.
     Kill,
-    /// Hang the evaluation of this point until the watchdog deadline
-    /// releases it as `Failed{timeout}` (or a safety cap, when no
-    /// deadline is configured).
+    /// Hang the evaluation of this point until the `--timeout-ms`
+    /// budget releases it as `Failed{timeout}` (or a safety cap, when
+    /// no budget is configured).
     Stall,
     /// Fail the *journal append* for this point with a synthesized
     /// "no space left on device" error. The evaluation itself is
@@ -283,52 +288,19 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-}
 
-/// The process-wide active plan. `None` means "consult the environment".
-static ACTIVE: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
-
-/// Removes the active plan when dropped, restoring env-var behavior.
-#[derive(Debug)]
-pub struct FaultGuard {
-    _private: (),
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        if let Ok(mut slot) = ACTIVE.write() {
-            *slot = None;
-        }
-    }
-}
-
-/// Installs a plan for every sweep in the process until the returned
-/// guard is dropped. Replaces any previously active plan.
-pub fn activate(plan: FaultPlan) -> FaultGuard {
-    if let Ok(mut slot) = ACTIVE.write() {
-        *slot = Some(Arc::new(plan));
-    }
-    FaultGuard { _private: () }
-}
-
-/// The plan a starting sweep should apply: the programmatically
-/// activated one if present, otherwise whatever `UCORE_FAULT_INJECT`
-/// specifies (an unparsable variable is reported on stderr once per
-/// sweep and ignored — fault injection must never corrupt a run it was
-/// meant to test), otherwise `None`.
-pub fn current_plan() -> Option<Arc<FaultPlan>> {
-    if let Ok(slot) = ACTIVE.read() {
-        if let Some(plan) = slot.as_ref() {
-            return Some(Arc::clone(plan));
-        }
-    }
-    let spec = std::env::var("UCORE_FAULT_INJECT").ok()?;
-    match FaultPlan::parse(&spec) {
-        Ok(plan) if !plan.is_empty() => Some(Arc::new(plan)),
-        Ok(_) => None,
-        Err(e) => {
-            eprintln!("warning: UCORE_FAULT_INJECT ignored: {e}");
-            None
+    /// The plan a `UCORE_FAULT_INJECT` value selects: empty when the
+    /// variable is unset, and empty with one stderr warning when it does
+    /// not parse — fault injection must never corrupt a run it was
+    /// meant to test.
+    pub fn from_env_value(spec: Option<&str>) -> Self {
+        match spec.map(FaultPlan::parse) {
+            Some(Ok(plan)) => plan,
+            Some(Err(e)) => {
+                eprintln!("warning: UCORE_FAULT_INJECT ignored: {e}");
+                FaultPlan::new()
+            }
+            None => FaultPlan::new(),
         }
     }
 }

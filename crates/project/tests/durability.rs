@@ -18,13 +18,17 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use ucore_calibrate::WorkloadColumn;
 use ucore_core::EvalCache;
-use ucore_project::durability::{self, DurabilityConfig};
-use ucore_project::faultinject::{self, Fault, FaultPlan};
-use ucore_project::sweep::{figure_points, sweep, SweepConfig, SweepPoint};
+use ucore_project::durability::{self, DurabilityConfig, RunContext};
+use ucore_project::faultinject::{Fault, FaultPlan};
+use ucore_project::sweep::{
+    figure_points, sweep, sweep_in, SweepConfig, SweepPoint, SweepResult, SweepStats,
+};
 use ucore_project::{figures, DesignId, ProjectionEngine, Scenario};
 
-/// Durability and fault-injection state is process-global; tests that
-/// activate either must not overlap.
+/// Tests that fill the process slot `durability::activate` fills, that
+/// read the process-wide phase log or registry deltas, or that add
+/// journal hits to that log, must not overlap. Tests that sweep under
+/// their own [`RunContext`] and touch none of that run concurrently.
 static SERIALIZE: Mutex<()> = Mutex::new(());
 
 fn serialized() -> MutexGuard<'static, ()> {
@@ -39,6 +43,19 @@ fn engine() -> ProjectionEngine {
 fn grid(engine: &ProjectionEngine) -> Vec<SweepPoint> {
     let designs = DesignId::for_column(engine.table5(), WorkloadColumn::Fft1024);
     figure_points(engine, &designs, WorkloadColumn::Fft1024, &[0.5, 0.999]).unwrap()
+}
+
+fn open(config: DurabilityConfig) -> RunContext {
+    RunContext::open(config).unwrap().0
+}
+
+/// A default-configured sweep under `ctx`.
+fn run(
+    e: &ProjectionEngine,
+    points: Vec<SweepPoint>,
+    ctx: &RunContext,
+) -> (Vec<SweepResult>, SweepStats) {
+    sweep_in(e, points, &SweepConfig::default(), ctx)
 }
 
 fn temp_journal(tag: &str) -> PathBuf {
@@ -250,29 +267,25 @@ fn debug_text_fingerprint_journals_resume_as_stale() {
     let _ = fs::remove_file(&path);
 }
 
-/// `stall@i` under a watchdog deadline: the stalled point is released
+/// `stall@i` under a `--timeout-ms` budget: the stalled point is released
 /// as `Failed{timeout}` within (approximately) the budget, and every
 /// other point is untouched.
 #[test]
 fn stalled_point_fails_with_timeout_within_budget() {
-    let _lock = serialized();
     let e = engine();
     let points = grid(&e);
     let k = 5;
     let budget = Duration::from_millis(120);
-    let (reference, _) = sweep(&e, points.clone(), &SweepConfig::default());
+    let (reference, _) = run(&e, points.clone(), &RunContext::default());
 
-    let (dur_guard, _) = durability::activate(DurabilityConfig {
+    let ctx = open(DurabilityConfig {
         timeout: Some(budget),
+        faults: FaultPlan::new().with(k, Fault::Stall),
         ..Default::default()
-    })
-    .unwrap();
-    let fault_guard = faultinject::activate(FaultPlan::new().with(k, Fault::Stall));
+    });
     let started = std::time::Instant::now();
-    let (results, stats) = sweep(&e, points, &SweepConfig::default());
+    let (results, stats) = run(&e, points, &ctx);
     let elapsed = started.elapsed();
-    drop(fault_guard);
-    drop(dur_guard);
 
     assert_eq!(stats.points_failed, 1);
     assert_eq!(
@@ -295,22 +308,17 @@ fn stalled_point_fails_with_timeout_within_budget() {
 /// exact retry accounting.
 #[test]
 fn transient_fault_recovers_via_retry_deterministically() {
-    let _lock = serialized();
     let e = engine();
     let points = grid(&e);
     let k = 3;
-    let (reference, _) = sweep(&e, points.clone(), &SweepConfig::default());
+    let (reference, _) = run(&e, points.clone(), &RunContext::default());
 
-    let (dur_guard, _) = durability::activate(DurabilityConfig {
+    let ctx = open(DurabilityConfig {
         retries: 2,
+        faults: FaultPlan::new().with_transient(k, Fault::Panic, 1),
         ..Default::default()
-    })
-    .unwrap();
-    let fault_guard =
-        faultinject::activate(FaultPlan::new().with_transient(k, Fault::Panic, 1));
-    let (results, stats) = sweep(&e, points, &SweepConfig::default());
-    drop(fault_guard);
-    drop(dur_guard);
+    });
+    let (results, stats) = run(&e, points, &ctx);
 
     assert_eq!(stats.points_failed, 0, "retry recovered");
     assert_eq!(stats.retries, 1, "exactly one retry");
@@ -323,19 +331,15 @@ fn transient_fault_recovers_via_retry_deterministically() {
 /// consuming exactly `retries` attempts.
 #[test]
 fn persistent_fault_exhausts_the_retry_budget() {
-    let _lock = serialized();
     let e = engine();
     let points = grid(&e);
     let k = 3;
-    let (dur_guard, _) = durability::activate(DurabilityConfig {
+    let ctx = open(DurabilityConfig {
         retries: 2,
+        faults: FaultPlan::new().with(k, Fault::Panic),
         ..Default::default()
-    })
-    .unwrap();
-    let fault_guard = faultinject::activate(FaultPlan::new().with(k, Fault::Panic));
-    let (results, stats) = sweep(&e, points, &SweepConfig::default());
-    drop(fault_guard);
-    drop(dur_guard);
+    });
+    let (results, stats) = run(&e, points, &ctx);
 
     assert_eq!(stats.points_failed, 1);
     assert_eq!(stats.retries, 2, "both retries were consumed");
@@ -349,6 +353,8 @@ fn persistent_fault_exhausts_the_retry_budget() {
 /// accounting of a resumed run matches the uninterrupted run exactly.
 #[test]
 fn resume_restores_retry_accounting_from_the_journal() {
+    // Serialized only because its replay hits land in the phase log
+    // that `resumed_figure6` sums.
     let _lock = serialized();
     let e = engine();
     let points = grid(&e);
@@ -356,30 +362,25 @@ fn resume_restores_retry_accounting_from_the_journal() {
     let path = temp_journal("retry-replay");
 
     // Original run: transient fault at k, one retry consumed, journaled.
-    let (dur_guard, _) = durability::activate(DurabilityConfig {
+    let ctx = open(DurabilityConfig {
         journal: Some(path.clone()),
         retries: 2,
+        faults: FaultPlan::new().with_transient(k, Fault::Panic, 1),
         ..Default::default()
-    })
-    .unwrap();
-    let fault_guard =
-        faultinject::activate(FaultPlan::new().with_transient(k, Fault::Panic, 1));
-    let (original, original_stats) = sweep(&e, points.clone(), &SweepConfig::default());
-    drop(fault_guard);
-    drop(dur_guard);
+    });
+    let (original, original_stats) = run(&e, points.clone(), &ctx);
+    drop(ctx);
     assert_eq!(original_stats.retries, 1);
 
     // Resume: everything replays — including the retry count — with no
-    // fault plan active and no re-evaluation.
-    let (dur_guard, _) = durability::activate(DurabilityConfig {
+    // fault plan and no re-evaluation.
+    let ctx = open(DurabilityConfig {
         journal: Some(path.clone()),
         resume: true,
         retries: 2,
         ..Default::default()
-    })
-    .unwrap();
-    let (resumed, resumed_stats) = sweep(&e, points, &SweepConfig::default());
-    drop(dur_guard);
+    });
+    let (resumed, resumed_stats) = run(&e, points, &ctx);
 
     assert_eq!(resumed_stats.journal_hits as usize, resumed.len());
     assert_eq!(
@@ -550,7 +551,7 @@ mod journal_roundtrip {
     }
 }
 
-/// ISSUE 8 satellite: `enospc@i` / `eio@i` disk faults fire at the
+/// `enospc@i` / `eio@i` disk faults fire at the
 /// *journal append*, not the evaluation. The documented degradation
 /// path must hold: the run continues, every result is bit-identical to
 /// a clean run, `journal.write_errors` increments, and appends stop at
@@ -560,20 +561,18 @@ fn disk_fault_degrades_journaling_but_not_results() {
     let _guard = serialized();
     let e = engine();
     let points = grid(&e);
-    let (clean, _) = sweep(&e, points.clone(), &SweepConfig::default());
+    let (clean, _) = run(&e, points.clone(), &RunContext::default());
 
     for (kind, tag) in [(Fault::DiskEnospc, "enospc"), (Fault::DiskEio, "eio")] {
         let path = temp_journal(&format!("disk-{tag}"));
         let before = ucore_obs::registry().snapshot().counter("journal.write_errors");
-        let (dguard, _) = durability::activate(DurabilityConfig {
+        let ctx = open(DurabilityConfig {
             journal: Some(path.clone()),
+            faults: FaultPlan::new().with(2, kind),
             ..Default::default()
-        })
-        .unwrap();
-        let fguard = faultinject::activate(FaultPlan::new().with(2, kind));
-        let (faulted, stats) = sweep(&e, points.clone(), &SweepConfig::default());
-        drop(fguard);
-        drop(dguard);
+        });
+        let (faulted, stats) = run(&e, points.clone(), &ctx);
+        drop(ctx);
         assert_eq!(stats.points_failed, 0, "{tag}: disk faults never fail points");
         for (a, b) in clean.iter().zip(&faulted) {
             assert_eq!(a.outcome, b.outcome, "{tag}: index {}", a.index);
@@ -601,11 +600,10 @@ fn disk_degraded_journal_remains_resumable() {
     {
         let (dguard, _) = durability::activate(DurabilityConfig {
             journal: Some(path.clone()),
+            faults: FaultPlan::new().with(5, Fault::DiskEnospc),
             ..Default::default()
         })
         .unwrap();
-        let _fguard =
-            faultinject::activate(FaultPlan::new().with(5, Fault::DiskEnospc));
         let _ = figures::figure6().unwrap();
         drop(dguard);
     }

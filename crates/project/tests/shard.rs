@@ -16,21 +16,26 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use ucore_calibrate::WorkloadColumn;
 use ucore_core::EvalCache;
-use ucore_project::durability::{self, DurabilityConfig};
+use ucore_project::durability::{DurabilityConfig, RunContext};
 use ucore_project::journal::{read_records, replay, JournalRecord, JournalWriter, ReplayLookup};
 use ucore_project::shard::{lease_ranges, merge_journals, shard_journal_path, ShardSpec};
-use ucore_project::sweep::{figure_points, sweep, Outcome, SweepConfig, SweepPoint};
+use ucore_project::sweep::{
+    figure_points, sweep_in, Outcome, SweepConfig, SweepPoint, SweepResult, SweepStats,
+};
 use ucore_project::{DesignId, ProjectionEngine, Scenario};
 
-/// Durability state is process-global; tests that activate it must not
-/// overlap.
-static SERIALIZE: Mutex<()> = Mutex::new(());
-
-fn serialized() -> MutexGuard<'static, ()> {
-    SERIALIZE.lock().unwrap_or_else(PoisonError::into_inner)
+/// Sweeps `points` under a context opened from `config`; the journal is
+/// fsync'd when the sweep ends.
+fn sweep_under(
+    e: &ProjectionEngine,
+    points: Vec<SweepPoint>,
+    config: DurabilityConfig,
+) -> (Vec<SweepResult>, SweepStats) {
+    let (ctx, _) = RunContext::open(config).unwrap();
+    sweep_in(e, points, &SweepConfig::default(), &ctx)
 }
 
 fn engine() -> ProjectionEngine {
@@ -69,7 +74,6 @@ fn write_journal(path: &Path, records: &[JournalRecord]) {
 /// skipped (not infeasible).
 #[test]
 fn worker_lease_sweeps_and_journals_only_the_lease() {
-    let _lock = serialized();
     let e = engine();
     let points = grid(&e);
     let total = points.len();
@@ -77,18 +81,15 @@ fn worker_lease_sweeps_and_journals_only_the_lease() {
     let lease = spec.lease(total);
     assert!(!lease.is_empty(), "the test grid must give shard 1/4 a real lease");
 
-    // Unsharded reference run (no durability active).
-    let (reference, _) = sweep(&e, points.clone(), &SweepConfig::default());
+    // Unsharded reference run (an inert context).
+    let (reference, _) = sweep_under(&e, points.clone(), DurabilityConfig::default());
 
     let path = temp_path("lease");
-    let (guard, _) = durability::activate(DurabilityConfig {
-        journal: Some(path.clone()),
-        shard: Some(spec),
-        ..Default::default()
-    })
-    .unwrap();
-    let (sharded, stats) = sweep(&e, points, &SweepConfig::default());
-    drop(guard);
+    let (sharded, stats) = sweep_under(
+        &e,
+        points,
+        DurabilityConfig { journal: Some(path.clone()), shard: Some(spec), ..Default::default() },
+    );
 
     assert_eq!(stats.points, total);
     assert_eq!(stats.points_skipped, total - lease.len());
@@ -112,24 +113,18 @@ fn worker_lease_sweeps_and_journals_only_the_lease() {
     let _ = fs::remove_file(&path);
 }
 
-/// Four in-process "workers" (sequentially activated shard configs,
-/// each with its own journal) cover the grid; merging their journals
+/// Four in-process "workers" (one shard context each, with its own
+/// journal) cover the grid; merging their journals
 /// yields a file byte-identical to the journal of one unsharded
 /// sequential run — the merge invariant behind figure byte-identity.
 #[test]
 fn merged_shard_journals_equal_the_single_run_journal_bytes() {
-    let _lock = serialized();
     let e = engine();
     let points = grid(&e);
 
     let single = temp_path("single");
-    let (guard, _) = durability::activate(DurabilityConfig {
-        journal: Some(single.clone()),
-        ..Default::default()
-    })
-    .unwrap();
-    let _ = sweep(&e, points.clone(), &SweepConfig::default());
-    drop(guard);
+    let config = DurabilityConfig { journal: Some(single.clone()), ..Default::default() };
+    let _ = sweep_under(&e, points.clone(), config);
     let single_bytes = fs::read(&single).unwrap();
 
     let merged = temp_path("merged");
@@ -137,14 +132,12 @@ fn merged_shard_journals_equal_the_single_run_journal_bytes() {
         (0..4).map(|i| shard_journal_path(&merged, i)).collect();
     for (i, path) in shard_paths.iter().enumerate() {
         let _ = fs::remove_file(path);
-        let (guard, _) = durability::activate(DurabilityConfig {
+        let config = DurabilityConfig {
             journal: Some(path.clone()),
             shard: Some(ShardSpec::new(i, 4).unwrap()),
             ..Default::default()
-        })
-        .unwrap();
-        let _ = sweep(&e, points.clone(), &SweepConfig::default());
-        drop(guard);
+        };
+        let _ = sweep_under(&e, points.clone(), config);
     }
     let report = merge_journals(&shard_paths, &merged).unwrap();
     assert_eq!(report.records, points.len());

@@ -29,6 +29,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 use ucore_project::durability::{self, DurabilityConfig, DurabilityGuard};
+use ucore_project::faultinject::FaultPlan;
 use ucore_serve::{Limits, Server, ServerConfig};
 
 fn usage() -> &'static str {
@@ -44,7 +45,7 @@ fn usage() -> &'static str {
      --max-body-bytes N: largest accepted request body (default 65536)\n\
      --journal PATH: stream completed sweep points to an append-only checksummed journal\n\
      --resume: replay the journal before serving (requires --journal)\n\
-     --timeout-ms N: per-point watchdog deadline inside sweeps\n\
+     --timeout-ms N: release an injected stall (stall@i) as Failed{timeout} after N ms\n\
      --retries N: retry failed points up to N times (default 0)"
 }
 
@@ -157,8 +158,11 @@ fn parse(args: Vec<String>) -> Result<Cli, String> {
 
 /// Activates the durability layer when any of its flags were given,
 /// reporting what a resume replayed (same contract as `repro`).
-fn activate_durability(cli: &Cli) -> Result<Option<DurabilityGuard>, String> {
-    let wanted = cli.journal.is_some() || cli.timeout_ms.is_some() || cli.retries > 0;
+fn activate_durability(cli: &Cli, faults: FaultPlan) -> Result<Option<DurabilityGuard>, String> {
+    let wanted = cli.journal.is_some()
+        || cli.timeout_ms.is_some()
+        || cli.retries > 0
+        || !faults.is_empty();
     if !wanted {
         return Ok(None);
     }
@@ -168,6 +172,7 @@ fn activate_durability(cli: &Cli) -> Result<Option<DurabilityGuard>, String> {
         timeout: cli.timeout_ms.map(Duration::from_millis),
         retries: cli.retries,
         shard: None,
+        faults,
     };
     let (guard, report) = durability::activate(config).map_err(|e| e.to_string())?;
     if cli.resume {
@@ -204,7 +209,8 @@ fn main() -> ExitCode {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    let _durability_guard = match activate_durability(&cli) {
+    let faults = FaultPlan::from_env_value(std::env::var("UCORE_FAULT_INJECT").ok().as_deref());
+    let _durability_guard = match activate_durability(&cli, faults) {
         Ok(guard) => guard,
         Err(e) => {
             eprintln!("{e}");

@@ -13,7 +13,7 @@
 //!   Overload sheds immediately with a structured `server.overloaded`
 //!   503 — queue depth cannot grow without bound.
 //! * **Per-request deadlines** ([`service`]): each render runs under a
-//!   cooperative deadline wired into the model's watchdog checkpoints
+//!   deadline that every sweep point checks before it evaluates
 //!   ([`ucore_project::arm_request_deadline`]); pathological queries
 //!   come back as `request.deadline` 504 instead of wedging a worker.
 //! * **Graceful degradation** ([`service`], [`error`]): handlers run

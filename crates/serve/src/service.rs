@@ -173,9 +173,8 @@ fn content_type(target: &Target) -> &'static str {
 fn render_contained(target: &Target, request_timeout: Option<Duration>) -> Response {
     let _guard = request_timeout.map(ucore_project::arm_request_deadline);
     let caught = ucore_project::contain(|| ucore_bench::render::render(target));
-    // Deadline first: an expired budget explains both a deadline panic
-    // that escaped and a sweep whose tail points all failed at their
-    // first cooperative checkpoint.
+    // Deadline first: an expired budget explains a sweep whose tail
+    // points all failed the deadline check before evaluating.
     if ucore_project::request_deadline_expired() {
         crate::obs::metrics().timeouts.inc();
         let budget_ms = request_timeout.map_or(0, |d| d.as_millis());

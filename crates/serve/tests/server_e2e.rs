@@ -3,9 +3,9 @@
 //! shedding, graceful drain, per-request deadlines, fault surfacing,
 //! degraded journaling, and kill-9 crash recovery via `--resume`.
 //!
-//! Everything here shares process-global state (the metrics registry,
-//! the durability slot, the fault-injection slot), so every test runs
-//! under one mutex.
+//! Everything here shares process-global state (the metrics registry
+//! and the process slot that holds the durability state and fault
+//! plan), so every test runs under one mutex.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -17,8 +17,7 @@ use ucore_project::durability::{self, DurabilityConfig};
 use ucore_project::faultinject::{Fault, FaultPlan};
 use ucore_serve::{Server, ServerConfig, ShutdownHandle};
 
-/// Serializes tests around the process-global durability, fault, and
-/// metrics state.
+/// Serializes tests around the process slot and the metrics registry.
 fn serialized() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
     GATE.get_or_init(|| Mutex::new(()))
@@ -278,7 +277,7 @@ fn request_deadline_returns_504_with_the_taxonomy_code() {
     });
     // figure-10 shares its MMM points with figure-11, which another
     // test renders; clearing the evaluation cache makes the render run
-    // real sweep points and trip the checkpoint whatever ran before.
+    // real sweep points and trip the deadline whatever ran before.
     ucore_core::EvalCache::global().clear();
     let (status, body) = get(server.addr, "/json/figure-10");
     assert_eq!(status, 504, "{:?}", String::from_utf8_lossy(&body));
@@ -296,9 +295,11 @@ fn injected_fault_degrades_one_response_and_recovery_is_byte_identical() {
     let _gate = serialized();
     let server = boot(|_| {});
 
-    let guard = ucore_project::faultinject::activate(
-        FaultPlan::new().with(3, Fault::Panic),
-    );
+    let (guard, _) = durability::activate(DurabilityConfig {
+        faults: FaultPlan::new().with(3, Fault::Panic),
+        ..DurabilityConfig::default()
+    })
+    .expect("activate the fault plan");
     let (status, body) = get(server.addr, "/json/figure-7");
     assert_eq!(status, 500, "{:?}", String::from_utf8_lossy(&body));
     assert_eq!(error_code(&body), "request.failed");
@@ -322,12 +323,10 @@ fn disk_fault_degrades_journaling_but_serving_continues() {
     let _ = std::fs::remove_file(&journal);
     let (dur_guard, _) = durability::activate(DurabilityConfig {
         journal: Some(journal.clone()),
+        faults: FaultPlan::new().with(2, Fault::DiskEnospc),
         ..DurabilityConfig::default()
     })
     .expect("activate journaled durability");
-    let fault_guard = ucore_project::faultinject::activate(
-        FaultPlan::new().with(2, Fault::DiskEnospc),
-    );
     let errors_before = counter("journal.write_errors");
 
     let server = boot(|_| {});
@@ -347,7 +346,6 @@ fn disk_fault_degrades_journaling_but_serving_continues() {
 
     let report = server.stop();
     assert!(report.drained);
-    drop(fault_guard);
     drop(dur_guard);
     let _ = std::fs::remove_file(&journal);
 }

@@ -19,7 +19,7 @@
 //! * [`calibrate`] — derivation of U-core `(µ, φ)` parameters (Table 5).
 //! * [`project`] — the scaling projections (Figures 6–10 and the §6.2
 //!   alternative scenarios), with a durable sweep orchestrator:
-//!   checkpoint/resume run journal, per-point watchdog deadlines,
+//!   checkpoint/resume run journal, per-request deadlines,
 //!   deterministic retry-with-backoff, and crash-safe atomic exports.
 //! * [`report`] — ASCII tables/charts and CSV export used by the
 //!   reproduction binaries.
