@@ -52,12 +52,14 @@
 //! journal before exiting (codes 130/143), so an interrupted worker is
 //! always resumable.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use ucore_bench::snapshot;
 use ucore_obs::MetricsSnapshot;
-use ucore_project::durability::{self, DurabilityConfig, DurabilityGuard};
+use ucore_project::durability::{self, signals, DurabilityConfig, DurabilityGuard};
 use ucore_project::faultinject::FaultPlan;
 use ucore_project::shard::{self, OrchestratorConfig, ShardSpec};
 
@@ -188,6 +190,12 @@ struct Cli {
     command: Command,
 }
 
+/// Parses the command line.
+///
+/// # Errors
+///
+/// A usage message for an unknown flag, a missing or unparsable
+/// value, or a flag combination that cannot run.
 fn parse(args: Vec<String>) -> Result<Cli, String> {
     let mut stats = false;
     let mut max_failures: u64 = 0;
@@ -441,6 +449,10 @@ fn parse(args: Vec<String>) -> Result<Cli, String> {
 }
 
 /// Expands a bench topic argument into concrete topics.
+///
+/// # Errors
+///
+/// A usage message when `topic` is not `kernels`, `sweep` or `all`.
 fn bench_topics(topic: &str) -> Result<Vec<&'static str>, String> {
     match topic {
         "all" => Ok(snapshot::TOPICS.to_vec()),
@@ -454,6 +466,11 @@ fn bench_topics(topic: &str) -> Result<Vec<&'static str>, String> {
     }
 }
 
+/// Reads and decodes the bench snapshot at `path`.
+///
+/// # Errors
+///
+/// The path and the cause when the file cannot be read or decoded.
 fn read_snapshot(path: &std::path::Path) -> Result<snapshot::BenchSnapshot, String> {
     let bytes = std::fs::read(path)
         .map_err(|e| format!("cannot read snapshot {}: {e}", path.display()))?;
@@ -462,6 +479,11 @@ fn read_snapshot(path: &std::path::Path) -> Result<snapshot::BenchSnapshot, Stri
 }
 
 /// `--bench-snapshot`: measure each topic and record it, atomically.
+///
+/// # Errors
+///
+/// An unknown topic, a failed bench setup, or a snapshot that cannot
+/// be serialized or written.
 fn run_bench_snapshot(cli: &Cli, topic: &str) -> Result<(), String> {
     let budget = snapshot::budget_from_env();
     for t in bench_topics(topic)? {
@@ -477,6 +499,11 @@ fn run_bench_snapshot(cli: &Cli, topic: &str) -> Result<(), String> {
 
 /// `--bench-check`: compare (fresh or recorded) measurements against the
 /// recorded baseline. Returns the number of tolerance breaches.
+///
+/// # Errors
+///
+/// An unknown topic, a snapshot that cannot be read or measured, or
+/// snapshots that cannot be compared (schema or topic mismatch).
 fn run_bench_check(cli: &Cli, topic: &str) -> Result<usize, String> {
     let budget = snapshot::budget_from_env();
     let mut breaches_total = 0usize;
@@ -513,6 +540,10 @@ fn run_bench_check(cli: &Cli, topic: &str) -> Result<usize, String> {
 /// `faults` injects anything. Returns the guard keeping it active
 /// (`None` when the run is not durable), after reporting what a resume
 /// replayed.
+///
+/// # Errors
+///
+/// The journal cannot be opened, replayed or locked.
 fn activate_durability(cli: &Cli, faults: FaultPlan) -> Result<Option<DurabilityGuard>, String> {
     let wanted = cli.journal.is_some()
         || cli.resume
@@ -559,6 +590,11 @@ fn activate_durability(cli: &Cli, faults: FaultPlan) -> Result<Option<Durability
 /// The command-line tail handed to every shard worker after the
 /// generated `--shard i/n --journal PATH [--resume]` prefix: the
 /// rendering command plus the forwarded per-point policy flags.
+///
+/// # Errors
+///
+/// A usage message when the command renders nothing (help or a bench
+/// command).
 fn worker_args(cli: &Cli) -> Result<Vec<String>, String> {
     let mut args: Vec<String> = Vec::new();
     match &cli.command {
@@ -589,6 +625,11 @@ fn worker_args(cli: &Cli) -> Result<Vec<String>, String> {
 /// journals into `cli.journal`. The caller then renders by replaying
 /// the merged journal, so worker crashes and abandoned leases cost
 /// wall time, never output bytes.
+///
+/// # Errors
+///
+/// `--shards` without `--journal`, an executable path that cannot be
+/// found, a worker that cannot be spawned, or a failed journal merge.
 fn run_shard_fleet(cli: &Cli, shards: usize) -> Result<(), String> {
     let merged = cli
         .journal
@@ -637,6 +678,10 @@ fn run_shard_fleet(cli: &Cli, shards: usize) -> Result<(), String> {
 /// Renders one shared-module target, restoring the CLI's historical
 /// error bytes: bad targets get the usage banner appended, model
 /// failures pass through verbatim.
+///
+/// # Errors
+///
+/// The render error, as described above.
 fn target_bytes(target: &ucore_bench::Target) -> Result<String, Box<dyn std::error::Error>> {
     match ucore_bench::render::render(target) {
         Ok(rendered) => Ok(rendered.body),
@@ -764,6 +809,10 @@ fn print_failure_diagnostic(snapshot: &MetricsSnapshot, max_failures: u64) {
 /// Target rendering is delegated to [`ucore_bench::render`], the module
 /// the `ucore-serve` daemon also answers from, so CLI and served bytes
 /// can never drift apart.
+///
+/// # Errors
+///
+/// A bad target or a model failure while rendering.
 fn render(command: &Command) -> Result<String, Box<dyn std::error::Error>> {
     use ucore_bench::Target;
     let out = match command {
@@ -781,6 +830,11 @@ fn render(command: &Command) -> Result<String, Box<dyn std::error::Error>> {
     Ok(out)
 }
 
+/// Renders `command` to stdout, or atomically to `out` when given.
+///
+/// # Errors
+///
+/// A render failure, or an `out` path that cannot be written.
 fn run(command: &Command, out: Option<&std::path::Path>) -> Result<(), Box<dyn std::error::Error>> {
     let rendered = render(command)?;
     match out {
@@ -795,6 +849,10 @@ fn run(command: &Command, out: Option<&std::path::Path>) -> Result<(), Box<dyn s
 
 /// Writes the `--metrics` / `--trace` artifacts and prints the
 /// `--profile` report, all from state captured after the run.
+///
+/// # Errors
+///
+/// A `--metrics` or `--trace` file that cannot be written.
 fn write_observability(cli: &Cli, snapshot: &MetricsSnapshot) -> Result<(), String> {
     if let Some(path) = &cli.metrics {
         ucore_project::atomic_write(path, snapshot.render_prometheus().as_bytes())
@@ -824,7 +882,7 @@ fn main() -> ExitCode {
     // Installed before any journal can open: SIGINT/SIGTERM fsync the
     // active journal and exit 130/143, so an interrupted worker's
     // journal tail is durable and the run is always resumable.
-    signals::install();
+    signals::install(false);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cli = match parse(args) {
         Ok(cli) => cli,
@@ -927,46 +985,4 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     code
-}
-
-/// SIGINT/SIGTERM handling: fsync the active journal and exit with the
-/// conventional `128 + signum` code (130 for SIGINT, 143 for SIGTERM),
-/// distinct from 1 (error) and 2 (policy breach), so callers can tell
-/// "interrupted but resumable" apart from "failed". Everything in the
-/// handler is async-signal-safe: one atomic load, `fsync(2)`,
-/// `_exit(2)` — no allocation, no locks, no Rust I/O.
-#[cfg(unix)]
-mod signals {
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        fn fsync(fd: i32) -> i32;
-        fn _exit(code: i32) -> !;
-    }
-
-    extern "C" fn flush_and_exit(signum: i32) {
-        let fd = ucore_project::durability::active_journal_fd();
-        if fd >= 0 {
-            // SAFETY: fsync(2) is async-signal-safe; a stale or closed
-            // descriptor returns EBADF, which is ignored.
-            unsafe { fsync(fd) };
-        }
-        // SAFETY: _exit(2) is async-signal-safe and never returns.
-        unsafe { _exit(128 + signum) }
-    }
-
-    pub fn install() {
-        for sig in [SIGINT, SIGTERM] {
-            // SAFETY: signal(2) installing a handler that only performs
-            // async-signal-safe operations (see flush_and_exit).
-            unsafe { signal(sig, flush_and_exit) };
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod signals {
-    pub fn install() {}
 }

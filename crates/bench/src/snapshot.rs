@@ -139,6 +139,10 @@ impl BenchSnapshot {
 }
 
 /// Reads `object[key]` through `read`, or fails naming the field.
+///
+/// # Errors
+///
+/// [`SnapshotError::Parse`] naming `key` when it is absent or mistyped.
 fn field<'a, T>(
     object: &'a Value,
     key: &str,
@@ -358,6 +362,11 @@ pub fn measure<F: FnMut()>(id: &str, budget: Duration, mut f: F) -> BenchEntry {
     }
 }
 
+/// Labels a bench setup failure with `what`.
+///
+/// # Errors
+///
+/// [`SnapshotError::Setup`] when `r` is an error.
 fn setup<T, E: fmt::Display>(what: &str, r: Result<T, E>) -> Result<T, SnapshotError> {
     r.map_err(|e| SnapshotError::Setup(format!("{what}: {e}")))
 }
@@ -385,6 +394,10 @@ pub fn each_bench(topic: &str, visit: &mut Visitor<'_>) -> Result<(), SnapshotEr
 
 /// The `kernels` topic: the real MMM / FFT / Black-Scholes kernels the
 /// reproduction ships instead of MKL / CUFFT / PARSEC.
+///
+/// # Errors
+///
+/// [`SnapshotError::Setup`] when a kernel input cannot be built.
 fn kernel_benches(visit: &mut Visitor<'_>) -> Result<(), SnapshotError> {
     for n in [64usize, 128] {
         let a = random_matrix(n, n, 1);
@@ -425,6 +438,11 @@ fn kernel_benches(visit: &mut Visitor<'_>) -> Result<(), SnapshotError> {
 /// 6 designs × 5 nodes) evaluated uncached and against a pre-warmed
 /// cache, the optimizer and portfolio allocator search strategies head
 /// to head, and the batch's journal fingerprint, encode and decode.
+///
+/// # Errors
+///
+/// [`SnapshotError::Setup`] when the engine, a design or a journal
+/// batch cannot be built.
 fn sweep_benches(visit: &mut Visitor<'_>) -> Result<(), SnapshotError> {
     // A private cache isolates the benches from the process-global one.
     let engine = setup(

@@ -116,6 +116,10 @@ impl ModelError {
 }
 
 /// Validates that `value` is strictly positive and finite.
+///
+/// # Errors
+///
+/// [`ModelError::NotFinite`] or [`ModelError::NonPositive`] naming `what`.
 pub(crate) fn ensure_positive(what: &'static str, value: f64) -> Result<f64, ModelError> {
     if !value.is_finite() {
         return Err(ModelError::NotFinite { what });

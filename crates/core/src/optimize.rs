@@ -252,6 +252,10 @@ impl Optimizer {
 /// the provably-monotone serial-bound violation, which the caller
 /// translates into "stop sweeping" — the error value itself is never
 /// surfaced.
+///
+/// # Errors
+///
+/// The serial-bound violation described above.
 #[inline]
 fn evaluate_candidate(
     spec: &ChipSpec,

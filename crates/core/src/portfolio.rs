@@ -249,7 +249,10 @@ impl PortfolioChip {
     /// every deeper segment. Full compositions translate to areas
     /// `budget · units_k / grid`, drop out if any cap is violated, and
     /// compete under the first-wins strict-`>` argmax.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the recursion threads its cursor and scratch buffers by argument"
+    )]
     fn scan_compositions(
         &self,
         grid: u32,

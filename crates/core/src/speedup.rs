@@ -21,6 +21,11 @@ use crate::units::{ParallelFraction, Speedup};
 
 /// Validates the common `(n, r)` preconditions shared by all multicore
 /// formulas: positive finite, and `r ≤ n`.
+///
+/// # Errors
+///
+/// [`ModelError::NotFinite`] or [`ModelError::NonPositive`] for a bad
+/// `n` or `r`, and [`ModelError::SequentialExceedsTotal`] when `r > n`.
 fn validate_n_r(n: f64, r: f64) -> Result<(), ModelError> {
     crate::error::ensure_positive("n", n)?;
     crate::error::ensure_positive("r", r)?;

@@ -186,6 +186,11 @@ impl Device {
     /// Returns [`DeviceError::NonPositive`] if any provided area, clock,
     /// bandwidth or voltage is not positive.
     pub fn new(spec: DeviceSpec) -> Result<Self, DeviceError> {
+        /// Checks one optional quantity.
+        ///
+        /// # Errors
+        ///
+        /// [`DeviceError::NonPositive`] when `v` is present but not positive.
         fn check(what: &'static str, v: Option<f64>) -> Result<(), DeviceError> {
             if let Some(v) = v {
                 if !(v.is_finite() && v > 0.0) {

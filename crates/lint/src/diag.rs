@@ -1,9 +1,11 @@
 //! Diagnostics: the finding type and its human/JSON renderings.
 
+use serde::Serialize;
 use std::fmt::Write as _;
 
-/// One lint finding, anchored to a file/line/column.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One lint finding, anchored to a file/line/column. Its JSON form is
+/// one `--json` finding, so the field order is the schema's.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Diagnostic {
     /// The rule that produced the finding (kebab-case, e.g. `float-eq`).
     pub rule: &'static str,
@@ -55,44 +57,9 @@ pub fn render_human(findings: &[Diagnostic]) -> String {
 /// The schema is intentionally small and append-only:
 /// `{"version":1,"findings":[{rule,file,line,col,message}…],"total":N}`.
 pub fn render_json(findings: &[Diagnostic]) -> String {
-    let mut out = String::from("{\"version\":1,\"findings\":[");
-    for (i, d) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"rule\":{},\"file\":{},\"line\":{},\"col\":{},\"message\":{}}}",
-            json_string(d.rule),
-            json_string(&d.file),
-            d.line,
-            d.col,
-            json_string(&d.message)
-        );
-    }
-    let _ = write!(out, "],\"total\":{}}}", findings.len());
-    out.push('\n');
-    out
-}
-
-/// Escapes `s` as a JSON string literal (RFC 8259).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let mut out = String::from("{\"version\":1,\"findings\":");
+    findings.write_json(&mut out, false, 0);
+    let _ = writeln!(out, ",\"total\":{}}}", findings.len());
     out
 }
 
@@ -106,9 +73,13 @@ mod tests {
 
     #[test]
     fn json_escapes_quotes_and_control_chars() {
-        let out = render_json(&[d("float-eq", "a.rs", 3)]);
-        assert!(out.contains("\"message\":\"m \\\"q\\\"\\n\""));
-        assert!(out.contains("\"total\":1"));
+        let mut finding = d("float-eq", "a\\b.rs", 3);
+        finding.message.push_str("\u{1}\u{1f}\r\t");
+        assert_eq!(
+            render_json(&[finding]),
+            "{\"version\":1,\"findings\":[{\"rule\":\"float-eq\",\"file\":\"a\\\\b.rs\",\
+             \"line\":3,\"col\":1,\"message\":\"m \\\"q\\\"\\n\\u0001\\u001f\\r\\t\"}],\"total\":1}\n"
+        );
     }
 
     #[test]

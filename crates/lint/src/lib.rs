@@ -5,10 +5,10 @@
 //! raw `f64`s, sweep/figure output must be byte-deterministic, signal
 //! handlers must stay async-signal-safe, and the metric/error/flag
 //! names the docs promise must match what the code registers. This
-//! crate enforces them with a dependency-free pass — a hand-rolled
-//! total lexer ([`lexer`]) feeding token-level rules ([`rules`]) and a
-//! workspace symbol graph ([`graph`]) feeding interprocedural rules —
-//! runnable locally and in CI as `cargo run -p ucore-lint`.
+//! crate enforces them with a hand-rolled total lexer ([`lexer`])
+//! feeding token-level rules ([`rules`]) and a workspace symbol graph
+//! ([`graph`]) feeding interprocedural rules — runnable locally and in
+//! CI as `cargo run -p ucore-lint`.
 //!
 //! ## File rules (one file at a time)
 //!
@@ -17,8 +17,11 @@
 //! | `float-eq` | no `==`/`!=` on float-typed expressions |
 //! | `raw-f64-api` | no bare-`f64` dimensioned params on `pub fn` in core/devices/itrs |
 //! | `determinism` | no wall-clock or `HashMap`/`HashSet` in output-producing paths |
-//! | `unsafe-audit` | every `unsafe` carries a `// SAFETY:` / `# Safety` justification |
-//! | `errors-doc` | `pub fn … -> Result` documents an `# Errors` section |
+//!
+//! `// SAFETY:` comments, `# Safety` docs and `# Errors` docs are
+//! checked by clippy instead (`undocumented_unsafe_blocks`,
+//! `missing_safety_doc`, `missing_errors_doc`; see the root
+//! `Cargo.toml` and `clippy.toml`).
 //!
 //! ## Workspace rules (whole-workspace symbol graph)
 //!

@@ -30,6 +30,11 @@ struct Options {
 const USAGE: &str =
     "usage: ucore-lint [--json | --sarif] [--root DIR] [--rules NAME[,NAME…]] [--list-rules]";
 
+/// Parses the command line.
+///
+/// # Errors
+///
+/// The message to print with the usage line; empty for `--help`.
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts =
         Options { json: false, sarif: false, root: None, rules: None, list_rules: false };

@@ -189,7 +189,10 @@ impl ContractDrift {
     }
 
     /// Emits both drift directions for one contract.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument names one independent side of the contract being diffed"
+    )]
     fn diff(
         &self,
         ws: &WorkspaceContext<'_>,

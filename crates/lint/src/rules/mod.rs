@@ -20,13 +20,11 @@
 
 mod contract_drift;
 mod determinism;
-mod errors_doc;
 mod float_eq;
 mod lock_discipline;
 mod panic_reach;
 mod raw_f64_api;
 mod signal_safety;
-mod unsafe_audit;
 
 use crate::context::FileContext;
 use crate::diag::Diagnostic;
@@ -58,10 +56,8 @@ pub trait WorkspaceRule {
 pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(determinism::Determinism),
-        Box::new(errors_doc::ErrorsDoc),
         Box::new(float_eq::FloatEq),
         Box::new(raw_f64_api::RawF64Api),
-        Box::new(unsafe_audit::UnsafeAudit),
     ]
 }
 

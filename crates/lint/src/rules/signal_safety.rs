@@ -2,7 +2,8 @@
 //! `signal(2)` handlers.
 //!
 //! `repro` and `served` install raw `signal(2)` handlers for
-//! SIGINT/SIGTERM (DESIGN.md §15/§17): the handler may run between any
+//! SIGINT/SIGTERM from `ucore_project::durability::signals` (DESIGN.md
+//! §16/§17): the handler may run between any
 //! two instructions of the interrupted thread, so it may only touch
 //! atomics and the POSIX async-signal-safe set (`fsync`, `_exit`, …).
 //! Allocation, locks, buffered I/O (`eprintln!`), and anything that can

@@ -1,14 +1,14 @@
 //! SARIF 2.1.0 output.
 //!
-//! Hand-rolled like the rest of the crate (no serde in the production
-//! path): one run, one driver (`ucore-lint`), every registered rule in
-//! the driver's rule table, one `result` per finding with a physical
-//! location. The emitted subset is pinned by `tests/sarif_schema.rs`,
-//! which validates structure and required fields against the vendored
-//! `serde_json` parser, so CI artifact consumers (and the
-//! `lint-semantic` job) can rely on the shape.
+//! One run, one driver (`ucore-lint`), every registered rule in the
+//! driver's rule table, one `result` per finding with a physical
+//! location. Strings are escaped by the vendored serde writer. The
+//! emitted subset is pinned by `tests/sarif_schema.rs`, which validates
+//! structure and required fields against the vendored `serde_json`
+//! parser, so CI artifact consumers can rely on the shape.
 
-use crate::diag::{json_string, Diagnostic};
+use crate::diag::Diagnostic;
+use serde::write::str;
 use std::fmt::Write as _;
 
 /// The SARIF schema the output declares.
@@ -18,40 +18,39 @@ pub const SCHEMA_URI: &str = "https://json.schemastore.org/sarif-2.1.0.json";
 /// `(name, description)` metadata table (see
 /// [`crate::rules::all_rule_metadata`]); findings should be sorted.
 pub fn render_sarif(findings: &[Diagnostic], rules: &[(&str, &str)]) -> String {
-    let mut out = String::from("{");
-    let _ = write!(out, "\"$schema\":{},", json_string(SCHEMA_URI));
-    out.push_str("\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{");
-    let _ = write!(
-        out,
-        "\"name\":\"ucore-lint\",\"version\":{},\"rules\":[",
-        json_string(env!("CARGO_PKG_VERSION"))
+    let mut out = String::from("{\"$schema\":");
+    str(SCHEMA_URI, &mut out);
+    out.push_str(
+        ",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":\
+         {\"name\":\"ucore-lint\",\"version\":",
     );
+    str(env!("CARGO_PKG_VERSION"), &mut out);
+    out.push_str(",\"rules\":[");
     for (i, (name, desc)) in rules.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"shortDescription\":{{\"text\":{}}}}}",
-            json_string(name),
-            json_string(desc)
-        );
+        out.push_str("{\"id\":");
+        str(name, &mut out);
+        out.push_str(",\"shortDescription\":{\"text\":");
+        str(desc, &mut out);
+        out.push_str("}}");
     }
     out.push_str("]}},\"results\":[");
     for (i, d) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
+        out.push_str("{\"ruleId\":");
+        str(d.rule, &mut out);
+        out.push_str(",\"level\":\"error\",\"message\":{\"text\":");
+        str(&d.message, &mut out);
+        out.push_str("},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":");
+        str(&d.file, &mut out);
         let _ = write!(
             out,
-            "{{\"ruleId\":{},\"level\":\"error\",\"message\":{{\"text\":{}}},\
-             \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":\
-             {{\"uri\":{}}},\"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}]}}",
-            json_string(d.rule),
-            json_string(&d.message),
-            json_string(&d.file),
-            d.line,
-            d.col
+            "}},\"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}]}}",
+            d.line, d.col
         );
     }
     out.push_str("]}]}\n");

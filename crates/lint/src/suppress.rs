@@ -203,9 +203,18 @@ mod tests {
 
     #[test]
     fn unknown_rule_is_a_finding() {
-        let (sup, bad) = parse("// ucore-lint: allow(no-such-rule): because\nlet x = 1;\n");
-        assert!(sup.is_empty());
-        assert!(bad[0].message.contains("unknown rule"));
+        // `unsafe-audit` was retired to clippy; a leftover allow of it is
+        // unknown to the real registry.
+        for src in [
+            "// ucore-lint: allow(no-such-rule): because\nlet x = 1;\n",
+            "// ucore-lint: allow(unsafe-audit): retired rule\nlet x = 1;\n",
+        ] {
+            let ctx = FileContext::new("x.rs", src);
+            let mut bad = Vec::new();
+            let sup = collect(&ctx, &crate::rules::known_names(), &mut bad);
+            assert!(sup.is_empty(), "{src}");
+            assert!(bad[0].message.contains("unknown rule"), "{src}");
+        }
     }
 
     #[test]

@@ -48,6 +48,10 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<String>> {
 }
 
 /// Recursively collects `.rs` files under `dir`, sorted per directory.
+///
+/// # Errors
+///
+/// The first directory that cannot be read.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> =
         fs::read_dir(dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();

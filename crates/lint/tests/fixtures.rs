@@ -84,30 +84,6 @@ fn raw_f64_api_corpus() {
 }
 
 #[test]
-fn unsafe_audit_corpus() {
-    assert_eq!(
-        findings(
-            "crates/core/src/fixture.rs",
-            include_str!("fixtures/unsafe_audit/bad.rs"),
-        ),
-        vec![(5, "unsafe-audit"), (9, "unsafe-audit")],
-    );
-    assert_clean(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/unsafe_audit/good.rs"),
-    );
-}
-
-#[test]
-fn errors_doc_corpus() {
-    assert_eq!(
-        findings("crates/core/src/fixture.rs", include_str!("fixtures/errors_doc/bad.rs")),
-        vec![(4, "errors-doc")],
-    );
-    assert_clean("crates/core/src/fixture.rs", include_str!("fixtures/errors_doc/good.rs"));
-}
-
-#[test]
 fn suppression_corpus() {
     assert_eq!(
         findings(

@@ -241,6 +241,11 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// Consumes the next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Truncated`] when fewer than `n` remain.
     fn slice(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
         let end = self.at.checked_add(n).ok_or(TraceError::Truncated)?;
         let s = self.bytes.get(self.at..end).ok_or(TraceError::Truncated)?;
@@ -248,14 +253,29 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// Consumes the next `n` bytes as an owned buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::slice`].
     fn take(&mut self, n: usize) -> Result<Vec<u8>, TraceError> {
         Ok(self.slice(n)?.to_vec())
     }
 
+    /// Consumes one byte.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::slice`].
     fn u8(&mut self) -> Result<u8, TraceError> {
         Ok(self.slice(1)?.first().copied().unwrap_or(0))
     }
 
+    /// Consumes a little-endian `u16`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::slice`].
     fn u16(&mut self) -> Result<u16, TraceError> {
         let s = self.slice(2)?;
         Ok(u16::from_le_bytes([
@@ -264,6 +284,11 @@ impl<'a> Reader<'a> {
         ]))
     }
 
+    /// Consumes a little-endian `u64`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::slice`].
     fn u64(&mut self) -> Result<u64, TraceError> {
         let s = self.slice(8)?;
         let mut b = [0u8; 8];

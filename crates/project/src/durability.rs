@@ -7,7 +7,7 @@
 //! reads nothing else. [`activate`] instead installs the context in the
 //! process slot that [`sweep`](crate::sweep::sweep) (and so every
 //! figure) consults, and publishes its journal descriptor for the
-//! binaries' signal handlers.
+//! [`signals`] handler.
 //!
 //! * **Journal** — each completed point is appended to the configured
 //!   [`journal`] file, so a killed run can be resumed.
@@ -254,7 +254,7 @@ impl Drop for DurabilityGuard {
 }
 
 /// The active journal's raw file descriptor, published for
-/// async-signal-safe access. `-1` means no journal is active.
+/// [`signals`]' handler. `-1` means no journal is active.
 #[cfg(unix)]
 static ACTIVE_JOURNAL_FD: AtomicI32 = AtomicI32::new(-1);
 
@@ -270,14 +270,74 @@ fn publish_journal_fd(ctx: Option<&RunContext>) {
 #[cfg(not(unix))]
 fn publish_journal_fd(_ctx: Option<&RunContext>) {}
 
-/// The active journal's raw file descriptor, or `-1` when no journal
-/// is active. Safe to call from a signal handler (one atomic load):
-/// `repro`'s SIGTERM/SIGINT handlers `fsync(2)` this descriptor so an
-/// interrupted worker's journal tail is durable and the run is always
-/// resumable.
-#[cfg(unix)]
-pub fn active_journal_fd() -> i32 {
-    ACTIVE_JOURNAL_FD.load(Ordering::SeqCst)
+/// SIGINT/SIGTERM handling for the binaries: `fsync(2)` the active
+/// journal and `_exit(2)` with the conventional `128 + signum` code
+/// (130 for SIGINT, 143 for SIGTERM), distinct from 1 (error) and 2
+/// (policy breach), so callers can tell "interrupted but resumable"
+/// apart from "failed". Everything in the handler is async-signal-safe:
+/// atomic operations, `fsync(2)` and `_exit(2)`; no allocation, no
+/// locks, no Rust I/O. Off unix, [`install`](signals::install) does
+/// nothing.
+#[cfg_attr(
+    unix,
+    expect(
+        unsafe_code,
+        reason = "the signal(2), fsync(2) and _exit(2) calls have no safe wrapper in std"
+    )
+)]
+pub mod signals {
+    #[cfg(unix)]
+    use super::ACTIVE_JOURNAL_FD;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    #[cfg(unix)]
+    const SIGINT: i32 = 2;
+    #[cfg(unix)]
+    const SIGTERM: i32 = 15;
+
+    static TWO_STAGE: AtomicBool = AtomicBool::new(false);
+    static REQUESTED: AtomicBool = AtomicBool::new(false);
+
+    #[cfg(unix)]
+    extern "C" {
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn fsync(fd: i32) -> i32;
+        fn _exit(code: i32) -> !;
+    }
+
+    /// Installs the SIGINT/SIGTERM handlers. With `two_stage`, the first
+    /// signal only sets the flag [`requested`] reads, so the caller can
+    /// drain gracefully; a second signal flushes and exits at once.
+    /// Without it, every signal flushes and exits.
+    pub fn install(two_stage: bool) {
+        TWO_STAGE.store(two_stage, Ordering::SeqCst);
+        #[cfg(unix)]
+        for sig in [SIGINT, SIGTERM] {
+            // SAFETY: signal(2) installing a handler that only performs
+            // async-signal-safe operations (see on_signal).
+            unsafe { signal(sig, on_signal) };
+        }
+    }
+
+    /// Whether a two-stage handler has seen its first signal.
+    pub fn requested() -> bool {
+        REQUESTED.load(Ordering::SeqCst)
+    }
+
+    #[cfg(unix)]
+    extern "C" fn on_signal(signum: i32) {
+        if TWO_STAGE.load(Ordering::SeqCst) && !REQUESTED.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let fd = ACTIVE_JOURNAL_FD.load(Ordering::SeqCst);
+        if fd >= 0 {
+            // SAFETY: fsync(2) is async-signal-safe; a stale or closed
+            // descriptor returns EBADF, which is ignored.
+            unsafe { fsync(fd) };
+        }
+        // SAFETY: _exit(2) is async-signal-safe and never returns.
+        unsafe { _exit(128 + signum) }
+    }
 }
 
 /// Opens `config` ([`RunContext::open`]) and installs it for every

@@ -15,6 +15,10 @@ use crate::sweep::{figure_points, sweep, SweepConfig};
 use ucore_calibrate::WorkloadColumn;
 
 /// Builds a speedup figure: one panel per `f`, one series per design.
+///
+/// # Errors
+///
+/// As [`figure_with_metric`].
 fn speedup_figure(
     id: &str,
     title: &str,
@@ -25,6 +29,11 @@ fn speedup_figure(
     figure_with_metric(id, title, scenario, column, f_values, Metric::Speedup)
 }
 
+/// Builds a figure plotting `metric`: one panel per `f`, one series per design.
+///
+/// # Errors
+///
+/// The scenario's engine cannot be built, or the sweep fails.
 fn figure_with_metric(
     id: &str,
     title: &str,
@@ -40,6 +49,10 @@ fn figure_with_metric(
 
 /// The shared assembly tail: fans the `(f, design, node)` grid over the
 /// sweep and folds the ordered results into panels/series.
+///
+/// # Errors
+///
+/// A sweep failure.
 fn assemble_figure(
     engine: &ProjectionEngine,
     id: &str,

@@ -788,6 +788,10 @@ fn parent_dir(path: &Path) -> PathBuf {
 /// directory and its failure propagates; elsewhere directories cannot
 /// be opened for syncing and the call is a no-op (the rename itself is
 /// still atomic).
+///
+/// # Errors
+///
+/// The directory cannot be opened or synced.
 #[cfg(unix)]
 fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()

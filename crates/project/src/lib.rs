@@ -69,11 +69,12 @@
 //! # Ok::<(), ucore_project::ProjectionError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// Deny, not forbid: `durability::signals` holds the signal(2) FFI.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 // Failures on the projection path must flow through the Outcome /
 // ProjectionError taxonomy, never abort the process. The few remaining
-// intentional sites carry a local #[allow] with justification.
+// intentional sites carry a local #[expect] with its reason.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod contain;

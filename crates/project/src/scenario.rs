@@ -105,10 +105,11 @@ impl Scenario {
     }
 
     /// The serial power law as a model object.
-    // Alphas come only from this module's private constants, all of
-    // which SerialPowerLaw accepts; there is no caller-supplied path to
-    // this expect.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "alphas come only from this module's private constants, all of which \
+                  SerialPowerLaw accepts; there is no caller-supplied path to this expect"
+    )]
     pub fn power_law(&self) -> SerialPowerLaw {
         // ucore-lint: allow(panic-reachability): alphas come only from this module's private constants, all of which SerialPowerLaw accepts
         SerialPowerLaw::new(self.alpha).expect("scenario alphas are valid")

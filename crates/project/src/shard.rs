@@ -416,6 +416,11 @@ struct Running {
     last_progress: Instant,
 }
 
+/// Launches `task`'s worker, journaling to its shard journal.
+///
+/// # Errors
+///
+/// [`ShardError::Spawn`] when the worker process cannot be started.
 fn spawn_worker(cfg: &OrchestratorConfig, task: Task, now: Instant) -> Result<Running, ShardError> {
     let journal = shard_journal_path(&cfg.merged_journal, task.shard);
     let mut cmd = Command::new(&cfg.program);

@@ -25,10 +25,12 @@
 //! pool is the parallelism, and each request's cooperative deadline
 //! stays on the thread that armed it.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
-use ucore_project::durability::{self, DurabilityConfig, DurabilityGuard};
+use ucore_project::durability::{self, signals, DurabilityConfig, DurabilityGuard};
 use ucore_project::faultinject::FaultPlan;
 use ucore_serve::{Limits, Server, ServerConfig};
 
@@ -64,6 +66,12 @@ struct Cli {
     help: bool,
 }
 
+/// Parses the command line.
+///
+/// # Errors
+///
+/// A usage message for an unknown flag, a missing or unparsable
+/// value, or `--resume` without `--journal`.
 fn parse(args: Vec<String>) -> Result<Cli, String> {
     let mut cli = Cli {
         addr: String::from("127.0.0.1:7878"),
@@ -158,6 +166,10 @@ fn parse(args: Vec<String>) -> Result<Cli, String> {
 
 /// Activates the durability layer when any of its flags were given,
 /// reporting what a resume replayed (same contract as `repro`).
+///
+/// # Errors
+///
+/// The journal cannot be opened, replayed or locked.
 fn activate_durability(cli: &Cli, faults: FaultPlan) -> Result<Option<DurabilityGuard>, String> {
     let wanted = cli.journal.is_some()
         || cli.timeout_ms.is_some()
@@ -196,7 +208,7 @@ fn activate_durability(cli: &Cli, faults: FaultPlan) -> Result<Option<Durability
 fn main() -> ExitCode {
     // Installed before anything else so a signal during startup already
     // has crash-consistent behavior.
-    signals::install();
+    signals::install(true);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse(args) {
         Ok(cli) => cli,
@@ -267,66 +279,4 @@ fn main() -> ExitCode {
     }
     // _durability_guard drops here: the journal gets its final fsync
     // after the drain, so a graceful exit never leaves a torn tail.
-}
-
-/// Two-stage signal handling. The first SIGINT/SIGTERM only sets an
-/// atomic flag — the main loop sees it and runs the graceful drain
-/// (finish in-flight, flush journal, exit 0). A second signal is the
-/// impatient path: fsync the active journal and `_exit(128+signum)`
-/// immediately, leaving a resumable journal. Everything in the handler
-/// is async-signal-safe: atomic ops, `fsync(2)`, `_exit(2)`.
-#[cfg(unix)]
-mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    static SHUTDOWN_REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        fn fsync(fd: i32) -> i32;
-        fn _exit(code: i32) -> !;
-    }
-
-    extern "C" fn request_or_exit(signum: i32) {
-        if SHUTDOWN_REQUESTED.swap(true, Ordering::SeqCst) {
-            let fd = ucore_project::durability::active_journal_fd();
-            if fd >= 0 {
-                // SAFETY: fsync(2) is async-signal-safe; a stale or
-                // closed descriptor returns EBADF, which is ignored.
-                unsafe { fsync(fd) };
-            }
-            // SAFETY: _exit(2) is async-signal-safe and never returns.
-            unsafe { _exit(128 + signum) }
-        }
-    }
-
-    pub fn install() {
-        for sig in [SIGINT, SIGTERM] {
-            // SAFETY: signal(2) installing a handler that only performs
-            // async-signal-safe operations (see request_or_exit).
-            unsafe { signal(sig, request_or_exit) };
-        }
-    }
-
-    /// Whether a graceful shutdown has been requested.
-    pub fn requested() -> bool {
-        SHUTDOWN_REQUESTED.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static SHUTDOWN_REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    pub fn install() {}
-
-    /// Whether a graceful shutdown has been requested.
-    pub fn requested() -> bool {
-        SHUTDOWN_REQUESTED.load(Ordering::SeqCst)
-    }
 }

@@ -113,6 +113,12 @@ pub fn read_request(stream: &mut impl Read, limits: &Limits) -> Result<Request, 
 /// Reads until the end-of-head blank line (`\r\n\r\n` or `\n\n`),
 /// returning the head bytes (terminator excluded) and any bytes read
 /// past the terminator (the start of the body).
+///
+/// # Errors
+///
+/// [`ParseError::TooLarge`] past the head limit, [`ParseError::Closed`]
+/// when the peer hangs up before sending a byte, and a malformed or
+/// classified read failure otherwise.
 fn read_head(
     stream: &mut impl Read,
     limits: &Limits,
@@ -174,6 +180,11 @@ fn classify_io(e: &io::Error) -> ParseError {
 }
 
 /// `read_exact` with the same timeout/closed classification.
+///
+/// # Errors
+///
+/// A malformed-request error when the peer hangs up early, and the
+/// classified read failure otherwise.
 fn read_exact_classified(stream: &mut impl Read, buf: &mut [u8]) -> Result<(), ParseError> {
     let mut filled = 0usize;
     while filled < buf.len() {
@@ -300,6 +311,11 @@ pub fn write_response(
 mod tests {
     use super::*;
 
+    /// Parses `bytes` under the default limits.
+    ///
+    /// # Errors
+    ///
+    /// As [`parse_head`].
     fn parse(bytes: &[u8]) -> Result<(Request, usize), ParseError> {
         parse_head(bytes, &Limits::default())
     }

@@ -69,6 +69,10 @@ pub fn handle(request: &Request, request_timeout: Option<Duration>) -> Response 
 
 /// Resolves a request to a route, or to the error describing why it
 /// has none.
+///
+/// # Errors
+///
+/// The method, path or body error the response should carry.
 fn route(request: &Request) -> Result<Route, ServeError> {
     let target = request.target.as_str();
     match request.method.as_str() {
@@ -89,6 +93,10 @@ fn route(request: &Request) -> Result<Route, ServeError> {
 /// Maps a GET path to its render target. Validation of the *value*
 /// (`figure 12 is not one of 2-11`) belongs to the render layer; only
 /// the path shape is decided here.
+///
+/// # Errors
+///
+/// `unknown_target` for a path that names no artifact.
 fn artifact_route(path: &str) -> Result<Route, ServeError> {
     let target = if let Some(n) = path.strip_prefix("/table/") {
         Target::Table(n.to_string())
@@ -110,6 +118,11 @@ fn artifact_route(path: &str) -> Result<Route, ServeError> {
 
 /// Parses a `POST /query` body: `{"target":"figure-6","format":"json"}`
 /// with `format` one of `text` (default), `json`, `csv`.
+///
+/// # Errors
+///
+/// `invalid_json` for a body that is not the documented object, and
+/// `unknown_target` for a target or format it does not name.
 fn query_route(body: &[u8]) -> Result<Route, ServeError> {
     let text = std::str::from_utf8(body)
         .map_err(|e| ServeError::invalid_json(format!("body is not UTF-8: {e}")))?;

@@ -385,64 +385,7 @@ fn kill_nine_mid_request_leaves_a_resumable_journal() {
     let journal = temp_path("kill9");
     let _ = std::fs::remove_file(&journal);
 
-    // Boot the real daemon with a stall fault late in the figure-6
-    // sweep, so the journal fills with completed points and then the
-    // request hangs mid-flight.
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_served"))
-        .args([
-            "--serve",
-            "127.0.0.1:0",
-            "--workers",
-            "1",
-            "--request-timeout-ms",
-            "0",
-            "--journal",
-        ])
-        .arg(&journal)
-        .env("UCORE_FAULT_INJECT", "stall@100")
-        .stderr(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn served");
-    let stderr = child.stderr.take().expect("child stderr");
-    let mut lines = BufReader::new(stderr).lines();
-    let addr: std::net::SocketAddr = loop {
-        let line = lines
-            .next()
-            .expect("served exited before announcing its address")
-            .expect("read served stderr");
-        if let Some(rest) = line.strip_prefix("served: listening on ") {
-            break rest.parse().expect("parse announced address");
-        }
-    };
-
-    // Fire the request that will stall at point 100; don't wait for a
-    // response.
-    let mut stream = TcpStream::connect(addr).expect("connect to served");
-    stream
-        .write_all(b"GET /json/figure-6 HTTP/1.1\r\n\r\n")
-        .expect("send request");
-
-    // Wait for the journal to fill with the pre-stall points, then
-    // stabilize (the stall blocks further appends).
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut last_len = 0u64;
-    let mut stable_since = Instant::now();
-    loop {
-        let len = std::fs::metadata(&journal).map(|m| m.len()).unwrap_or(0);
-        if len != last_len {
-            last_len = len;
-            stable_since = Instant::now();
-        }
-        if last_len > 0 && stable_since.elapsed() > Duration::from_millis(500) {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "journal never grew; served is not appending"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    let (mut child, _stderr, stream) = spawn_stalled_request(&journal, &["--workers", "1"]);
 
     // The crash: SIGKILL, no drain, no final fsync from our side.
     child.kill().expect("kill -9 served");
@@ -476,4 +419,129 @@ fn kill_nine_mid_request_leaves_a_resumable_journal() {
         "resume did not answer any points from the journal"
     );
     let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn sigterm_drains_an_idle_daemon_and_exits_zero() {
+    let (mut child, lines, _addr) = spawn_served(&[], None);
+    terminate(&child);
+    let stderr: Vec<String> = lines.map(|l| l.expect("read served stderr")).collect();
+    let status = child.wait().expect("reap served");
+    assert_eq!(status.code(), Some(0), "stderr: {stderr:?}");
+    assert!(stderr.iter().any(|l| l.contains("drained cleanly")), "stderr: {stderr:?}");
+}
+
+#[test]
+fn second_sigterm_flushes_the_journal_and_exits_143() {
+    let journal = temp_path("sigterm-twice");
+    let _ = std::fs::remove_file(&journal);
+    // A second worker stays free to answer the probes below while the
+    // first is wedged; the long drain keeps the first TERM from ending
+    // the process on its own.
+    let (mut child, _stderr, stream) =
+        spawn_stalled_request(&journal, &["--workers", "2", "--drain-ms", "60000"]);
+    let addr = stream.peer_addr().expect("served address");
+
+    terminate(&child);
+    // The second TERM must land after the first has started the drain:
+    // wait until a fresh connection is refused as a late arrival.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (status, body) = get(addr, "/healthz");
+        if status == 503 && error_code(&body) == "server.draining" {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the first SIGTERM never started a drain");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    terminate(&child);
+
+    let status = child.wait().expect("reap served");
+    assert_eq!(status.code(), Some(143), "a second SIGTERM exits 128 + 15");
+    let len = std::fs::metadata(&journal).map(|m| m.len()).unwrap_or(0);
+    assert!(len > 0, "the handler left an empty journal");
+    let _ = std::fs::remove_file(&journal);
+}
+
+type StderrLines = std::io::Lines<BufReader<std::process::ChildStderr>>;
+
+/// Boots the real daemon on a free port, returning it, the rest of its
+/// stderr, and the address it announced.
+fn spawn_served(
+    args: &[&str],
+    faults: Option<&str>,
+) -> (std::process::Child, StderrLines, std::net::SocketAddr) {
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_served"));
+    cmd.args(["--serve", "127.0.0.1:0"]).args(args);
+    if let Some(spec) = faults {
+        cmd.env("UCORE_FAULT_INJECT", spec);
+    }
+    let mut child = cmd
+        .stderr(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn served");
+    let stderr = child.stderr.take().expect("child stderr");
+    let mut lines = BufReader::new(stderr).lines();
+    let addr = loop {
+        let line = lines
+            .next()
+            .expect("served exited before announcing its address")
+            .expect("read served stderr");
+        if let Some(rest) = line.strip_prefix("served: listening on ") {
+            break rest.parse().expect("parse announced address");
+        }
+    };
+    (child, lines, addr)
+}
+
+/// Boots the daemon journaling to `journal` with a stall fault late in
+/// the figure-6 sweep, fires that request, and returns once the journal
+/// holds the pre-stall points and has stopped growing: the request is
+/// then wedged in flight. The returned stream keeps it open.
+fn spawn_stalled_request(
+    journal: &std::path::Path,
+    args: &[&str],
+) -> (std::process::Child, StderrLines, TcpStream) {
+    let journal_arg = journal.to_str().expect("UTF-8 temp path");
+    let mut all = vec!["--request-timeout-ms", "0", "--journal", journal_arg];
+    all.extend_from_slice(args);
+    let (child, lines, addr) = spawn_served(&all, Some("stall@100"));
+
+    // Don't wait for a response: it never comes.
+    let mut stream = TcpStream::connect(addr).expect("connect to served");
+    stream
+        .write_all(b"GET /json/figure-6 HTTP/1.1\r\n\r\n")
+        .expect("send request");
+
+    // Wait for the journal to fill with the pre-stall points, then
+    // stabilize (the stall blocks further appends).
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut last_len = 0u64;
+    let mut stable_since = Instant::now();
+    loop {
+        let len = std::fs::metadata(journal).map(|m| m.len()).unwrap_or(0);
+        if len != last_len {
+            last_len = len;
+            stable_since = Instant::now();
+        }
+        if last_len > 0 && stable_since.elapsed() > Duration::from_millis(500) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "journal never grew; served is not appending"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    (child, lines, stream)
+}
+
+/// Sends SIGTERM to `child`.
+fn terminate(child: &std::process::Child) {
+    let status = std::process::Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(status.success());
 }

@@ -59,6 +59,11 @@ impl OptionParams {
         volatility: f32,
         time: f32,
     ) -> Result<Self, WorkloadError> {
+        /// Checks one parameter.
+        ///
+        /// # Errors
+        ///
+        /// [`WorkloadError::ZeroSize`] when `v` is not positive and finite.
         fn check(what: &'static str, v: f32) -> Result<(), WorkloadError> {
             if !(v.is_finite() && v > 0.0) {
                 return Err(WorkloadError::ZeroSize { what });

@@ -164,6 +164,11 @@ impl Matrix {
         Ok(())
     }
 
+    /// Checks that `(row, col)` is inside the matrix.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkloadError::IndexOutOfBounds`] when it is not.
     fn check_index(&self, row: usize, col: usize) -> Result<(), WorkloadError> {
         if row >= self.rows || col >= self.cols {
             return Err(WorkloadError::IndexOutOfBounds {
@@ -226,6 +231,10 @@ impl Matrix {
 }
 
 /// Validates that `a`, `b` are conformable and returns the output shape.
+///
+/// # Errors
+///
+/// [`WorkloadError::LengthMismatch`] when `a.cols() != b.rows()`.
 pub(crate) fn check_shapes(a: &Matrix, b: &Matrix) -> Result<(usize, usize), WorkloadError> {
     if a.cols() != b.rows() {
         return Err(WorkloadError::LengthMismatch {

@@ -129,14 +129,23 @@ mod tests {
 
     #[test]
     fn question_mark_converts_every_subsystem_error() {
+        /// # Errors
+        ///
+        /// Always: a parallel fraction above 1.
         fn model() -> Result<(), UcoreError> {
             ucore_core::ParallelFraction::new(2.0)?;
             Ok(())
         }
+        /// # Errors
+        ///
+        /// Always: a roadmap with no nodes.
         fn roadmap() -> Result<(), UcoreError> {
             ucore_itrs::Roadmap::from_nodes(Vec::new())?;
             Ok(())
         }
+        /// # Errors
+        ///
+        /// Always: a matrix with zero rows.
         fn workload() -> Result<(), UcoreError> {
             ucore_workloads::mmm::Matrix::try_zeros(0, 1)?;
             Ok(())
