@@ -1,158 +1,78 @@
 //! The reproduction driver: prints any table or figure of the paper.
+//! `repro --help` lists every flag, generated from the tables below and
+//! the durability flags [`ucore_bench::cli`] shares with `served`.
 //!
-//! ```text
-//! repro --all                  # everything, in paper order
-//! repro --table 5              # one table (1-6)
-//! repro --figure 6             # one figure (2-11)
-//! repro --scenario 3           # one 6.2 scenario (1-6)
-//! repro --json figure-6        # machine-readable figure data
-//! repro --stats --figure 6     # + sweep/cache counters on stderr
-//! repro --max-failures 1 ...   # tolerate one contained sweep failure
-//! repro --json figure-6 --out fig6.json   # crash-safe artifact write
-//! repro --journal run.jsonl --json figure-6   # durable run
-//! repro --journal run.jsonl --resume --json figure-6   # resume it
-//! repro --timeout-ms 500 --retries 2 ...   # stall timeout + retry policy
-//! ```
-//!
-//! `--stats` composes with any other flag. The counters go to stderr so
-//! that stdout stays byte-identical with and without the flag (the
-//! `--json` exports are consumed by tools that diff them).
-//!
-//! Sweep evaluation is fault-contained: a panicking design point
-//! degrades that one point instead of aborting the figure. `repro`
-//! polices the damage: if more points failed than `--max-failures`
-//! allows (default 0 — goldens stay strict), it prints a structured
-//! diagnostic to stderr and exits nonzero even though output was
-//! rendered.
-//!
-//! Runs are *durable* on request: `--journal PATH` streams every
-//! completed sweep point to an append-only, checksummed journal, and
-//! `--resume` replays that journal so a killed run re-evaluates only
-//! the missing points — the resumed output is byte-identical to an
-//! uninterrupted run. `--out PATH` writes the rendered output through
-//! an atomic temp-file+fsync+rename, so an artifact on disk is never
-//! half-written.
-//!
-//! Observability composes the same way `--stats` does: `--metrics PATH`
-//! writes a Prometheus-style snapshot of the process metrics registry,
-//! `--trace PATH` records structured spans into a bounded ring buffer
-//! and writes the binary trace, and `--profile` reduces that trace to a
-//! per-phase self/total table on stderr. None of the three perturbs
-//! stdout: the rendered figure bytes are identical with and without
-//! them.
-//!
-//! Runs shard across *processes* on request: `--shards N --journal
-//! PATH` spawns N worker copies of `repro` (each running with `--shard
-//! i/N` against its own `PATH.shard<i>` journal), watches their
-//! journal-growth heartbeats, reassigns a crashed or stalled worker's
-//! index-range lease with bounded backoff, merges the shard journals
-//! deterministically into `PATH`, and renders the figure by replaying
-//! the merged journal — byte-identical to a single-process run, even
-//! when workers were killed mid-sweep. SIGINT/SIGTERM fsync the active
-//! journal before exiting (codes 130/143), so an interrupted worker is
-//! always resumable.
+//! Observing never touches stdout: `--stats`, `--metrics`, `--trace`
+//! and `--profile` leave the rendered bytes identical. A failed sweep
+//! point degrades only that point; more of them than `--max-failures`
+//! exit 2. `--journal`/`--resume` make a killed run resumable to the same
+//! bytes, and `--shards N` spreads it over worker processes whose
+//! journals merge into `--journal` (DESIGN.md §12, §16). SIGINT/SIGTERM
+//! fsync the active journal and exit 130/143.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+use ucore_bench::cli::{self, Flag, Spec};
 use ucore_bench::snapshot;
 use ucore_obs::MetricsSnapshot;
-use ucore_project::durability::{self, signals, DurabilityConfig, DurabilityGuard};
+use ucore_project::durability::{signals, DurabilityConfig};
 use ucore_project::faultinject::FaultPlan;
 use ucore_project::shard::{self, OrchestratorConfig, ShardSpec};
 
-fn usage() -> &'static str {
-    "usage: repro [--stats] [--max-failures N] [--journal PATH] [--resume] \
-     [--timeout-ms N] [--retries N] [--out PATH] \
-     [--shards N | --shard I/N] [--shard-stall-ms N] [--shard-retries N] \
-     [--metrics PATH] [--trace PATH] [--profile] \
-     [--bench-dir DIR] [--bench-against PATH] [--bench-current PATH] [--bench-tolerance X] \
-     [--all | --experiments | --table N | --figure N | --scenario N | --json figure-N | --csv figure-N \
-     | --bench-snapshot TOPIC | --bench-check TOPIC]\n\
-     tables: 1-6; figures: 2-11; scenarios: 1-6; json/csv: figures 6-11; bench topics: kernels|sweep|all\n\
-     --stats: print evaluation/cache/sweep/durability counters to stderr\n\
-     --max-failures N: exit nonzero if more than N sweep points fail (default 0)\n\
-     --journal PATH: stream completed sweep points to an append-only checksummed journal\n\
-     --resume: replay the journal first; only missing points are re-evaluated (requires --journal)\n\
-     --timeout-ms N: release an injected stall (stall@i) as Failed{timeout} after N ms\n\
-     --retries N: retry failed points up to N times with deterministic backoff (default 0)\n\
-     --shards N: orchestrate the run across N worker processes sharing --journal (requires --journal)\n\
-     --shard I/N: worker mode — evaluate and journal only shard I's index-range lease (requires --journal)\n\
-     --shard-stall-ms N: kill and reassign a worker whose journal stops growing for N ms (default 30000)\n\
-     --shard-retries N: reassign a failed lease up to N times before abandoning it (default 3)\n\
-     --out PATH: write stdout output to PATH via atomic temp+fsync+rename\n\
-     --metrics PATH: write a Prometheus-style metrics snapshot to PATH (atomic)\n\
-     --trace PATH: record structured spans and write the binary trace to PATH (atomic)\n\
-     --profile: print a per-phase span profile (self/total time) to stderr\n\
-     --bench-snapshot TOPIC: measure the topic's benches and write BENCH_<topic>.json (atomic)\n\
-     --bench-check TOPIC: re-measure and compare against the recorded BENCH_<topic>.json;\n\
-         exits 2 when any bench ran more than the tolerance slower than its baseline\n\
-     --bench-dir DIR: directory holding BENCH_*.json files (default .)\n\
-     --bench-against PATH: baseline snapshot for --bench-check (single topic only)\n\
-     --bench-current PATH: compare this recorded snapshot instead of re-measuring (single topic only)\n\
-     --bench-tolerance X: slowdown ratio treated as a regression (default 2.0)"
-}
+const ALL: Flag = Flag::switch("--all", "every table, figure, and scenario in paper order");
+const EXPERIMENTS: Flag = Flag::switch("--experiments", "the experiment index");
+const TABLE: Flag = Flag::text("--table", "N", "one table (1-6)");
+const FIGURE: Flag = Flag::text("--figure", "N", "one figure (2-11)");
+const SCENARIO: Flag = Flag::text("--scenario", "N", "one 6.2 scenario (1-6)");
+const JSON: Flag = Flag::text("--json", "figure-N", "machine-readable figure data (figures 6-11)");
+const CSV: Flag = Flag::text("--csv", "figure-N", "CSV figure data (figures 6-11)");
+const BENCH_SNAPSHOT: Flag =
+    Flag::text("--bench-snapshot", "TOPIC", "record BENCH_<topic>.json (kernels|sweep|all)");
+const BENCH_CHECK: Flag =
+    Flag::text("--bench-check", "TOPIC", "re-measure against BENCH_<topic>.json; 2 on a breach");
+const STATS: Flag = Flag::switch("--stats", "print evaluation/cache/sweep counters to stderr");
+const MAX_FAILURES: Flag = Flag::count("--max-failures", "tolerate N failed points (default 0)");
+const OUT: Flag = Flag::text("--out", "PATH", "write the output to PATH atomically");
+const SHARDS: Flag = Flag::positive("--shards", "run across N worker processes (needs --journal)");
+const SHARD: Flag = Flag::text("--shard", "I/N", "run as worker I of N (set by --shards)");
+const SHARD_STALL_MS: Flag =
+    Flag::positive("--shard-stall-ms", "reassign a worker silent for N ms (default 30000)");
+const SHARD_RETRIES: Flag =
+    Flag::count("--shard-retries", "reassign a lease up to N times (default 3)");
+const METRICS: Flag = Flag::text("--metrics", "PATH", "write a Prometheus metrics snapshot");
+const TRACE: Flag = Flag::text("--trace", "PATH", "record spans and write the binary trace");
+const PROFILE: Flag = Flag::switch("--profile", "print a per-phase span profile to stderr");
+const BENCH_DIR: Flag = Flag::text("--bench-dir", "DIR", "where BENCH_*.json live (default .)");
+const BENCH_AGAINST: Flag =
+    Flag::text("--bench-against", "PATH", "baseline for --bench-check (one topic only)");
+const BENCH_CURRENT: Flag =
+    Flag::text("--bench-current", "PATH", "compare this snapshot instead of measuring");
+const BENCH_TOLERANCE: Flag =
+    Flag::text("--bench-tolerance", "X", "slowdown ratio that is a regression (default 2.0)");
 
-/// Every flag the driver understands, for the "did you mean" hint.
-const KNOWN_FLAGS: &[&str] = &[
-    "--all",
-    "--bench-against",
-    "--bench-check",
-    "--bench-current",
-    "--bench-dir",
-    "--bench-snapshot",
-    "--bench-tolerance",
-    "--csv",
-    "--experiments",
-    "--figure",
-    "--help",
-    "--journal",
-    "--json",
-    "--max-failures",
-    "--metrics",
-    "--out",
-    "--profile",
-    "--resume",
-    "--retries",
-    "--scenario",
-    "--shard",
-    "--shard-retries",
-    "--shard-stall-ms",
-    "--shards",
-    "--stats",
-    "--table",
-    "--timeout-ms",
-    "--trace",
-];
-
-/// Edit distance between two flags, for near-miss suggestions.
-fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let subst = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = subst.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
-/// The closest known flag, when close enough to be a plausible typo.
-fn did_you_mean(flag: &str) -> Option<&'static str> {
-    KNOWN_FLAGS
-        .iter()
-        .map(|&k| (levenshtein(flag, k), k))
-        .min()
-        .filter(|&(d, _)| d <= 3)
-        .map(|(_, k)| k)
-}
+static SPEC: Spec = Spec {
+    synopsis: "usage: repro [COMMAND] [OPTION]...",
+    groups: &[
+        (
+            "commands (at most one; the default renders everything)",
+            &[
+                ALL, EXPERIMENTS, TABLE, FIGURE, SCENARIO, JSON, CSV, BENCH_SNAPSHOT, BENCH_CHECK,
+                cli::HELP,
+            ],
+        ),
+        (
+            "options",
+            &[
+                STATS, MAX_FAILURES, OUT, SHARDS, SHARD, SHARD_STALL_MS, SHARD_RETRIES, METRICS,
+                TRACE, PROFILE, BENCH_DIR, BENCH_AGAINST, BENCH_CURRENT, BENCH_TOLERANCE,
+            ],
+        ),
+        ("durability", cli::DURABILITY),
+    ],
+};
 
 /// What the driver was asked to print.
 enum Command {
@@ -168,15 +88,32 @@ enum Command {
     BenchCheck(String),
 }
 
+impl Command {
+    /// The command `flag` selects with `value`, if it is a command flag.
+    fn of(flag: &Flag, value: &Option<String>) -> Option<Self> {
+        let v = || value.clone().unwrap_or_default();
+        Some(match *flag {
+            ALL => Command::All,
+            EXPERIMENTS => Command::Experiments,
+            cli::HELP => Command::Help,
+            TABLE => Command::Table(v()),
+            FIGURE => Command::Figure(v()),
+            SCENARIO => Command::Scenario(v()),
+            JSON => Command::Json(v()),
+            CSV => Command::Csv(v()),
+            BENCH_SNAPSHOT => Command::BenchSnapshot(v()),
+            BENCH_CHECK => Command::BenchCheck(v()),
+            _ => return None,
+        })
+    }
+}
+
 struct Cli {
     stats: bool,
     max_failures: u64,
-    journal: Option<PathBuf>,
-    resume: bool,
-    timeout_ms: Option<u64>,
-    retries: u32,
+    /// Journal, resume, stall timeout, retries and shard lease.
+    durability: DurabilityConfig,
     shards: Option<usize>,
-    shard: Option<ShardSpec>,
     shard_stall_ms: u64,
     shard_retries: u32,
     out: Option<PathBuf>,
@@ -188,6 +125,10 @@ struct Cli {
     bench_current: Option<PathBuf>,
     bench_tolerance: f64,
     command: Command,
+    /// What every shard worker gets after its `--shard i/n --journal
+    /// PATH [--resume]` prefix: the command flag and the per-point
+    /// policy flags, as given.
+    worker_args: Vec<String>,
 }
 
 /// Parses the command line.
@@ -196,256 +137,80 @@ struct Cli {
 ///
 /// A usage message for an unknown flag, a missing or unparsable
 /// value, or a flag combination that cannot run.
-fn parse(args: Vec<String>) -> Result<Cli, String> {
-    let mut stats = false;
-    let mut max_failures: u64 = 0;
-    let mut journal: Option<PathBuf> = None;
-    let mut resume = false;
-    let mut timeout_ms: Option<u64> = None;
-    let mut retries: u32 = 0;
-    let mut shards: Option<usize> = None;
-    let mut shard: Option<ShardSpec> = None;
-    let mut shard_stall_ms: u64 = shard::DEFAULT_STALL_TIMEOUT.as_millis() as u64;
-    let mut shard_retries: u32 = shard::DEFAULT_LEASE_RETRIES;
-    let mut out: Option<PathBuf> = None;
-    let mut metrics: Option<PathBuf> = None;
-    let mut trace: Option<PathBuf> = None;
-    let mut profile = false;
-    let mut bench_dir = PathBuf::from(".");
-    let mut bench_against: Option<PathBuf> = None;
-    let mut bench_current: Option<PathBuf> = None;
-    let mut bench_tolerance = ucore_bench::snapshot::DEFAULT_TOLERANCE;
-    let mut command: Option<Command> = None;
-    let set = |slot: &mut Option<Command>, c: Command| -> Result<(), String> {
-        if slot.is_some() {
-            return Err(format!("only one command per invocation\n{}", usage()));
+fn parse(argv: Vec<String>) -> Result<Cli, String> {
+    let args = SPEC.parse(argv)?;
+    let mut command = None;
+    let mut worker_args = Vec::new();
+    for (flag, value) in args.given() {
+        let selected = Command::of(flag, value);
+        if selected.is_some() && command.is_some() {
+            return Err(SPEC.error("only one command per invocation"));
         }
-        *slot = Some(c);
-        Ok(())
+        if selected.is_some() || [cli::TIMEOUT_MS, cli::RETRIES].contains(flag) {
+            worker_args.extend(std::iter::once(flag.name.to_string()).chain(value.clone()));
+        }
+        command = command.or(selected);
+    }
+    let mut durability = cli::durability_config(&args)?;
+    durability.shard =
+        args.text(&SHARD).map(ShardSpec::parse).transpose().map_err(|e| SPEC.error(e))?;
+    let bench_tolerance = match args.text(&BENCH_TOLERANCE) {
+        None => snapshot::DEFAULT_TOLERANCE,
+        Some(v) => v.parse().ok().filter(|&t: &f64| t.is_finite() && t >= 1.0).ok_or_else(|| {
+            SPEC.error(format!("--bench-tolerance value {v:?} is not a finite ratio >= 1.0"))
+        })?,
     };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value_for = |flag: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{flag} needs a value\n{}", usage()))
-        };
-        match arg.as_str() {
-            "--stats" => stats = true,
-            "--resume" => resume = true,
-            "--profile" => profile = true,
-            "--help" | "-h" => set(&mut command, Command::Help)?,
-            "--all" => set(&mut command, Command::All)?,
-            "--experiments" => set(&mut command, Command::Experiments)?,
-            "--max-failures" => {
-                let v = value_for("--max-failures")?;
-                max_failures = v.parse().map_err(|_| {
-                    format!(
-                        "--max-failures value {v:?} is not a non-negative integer\n{}",
-                        usage()
-                    )
-                })?;
-            }
-            "--journal" => {
-                journal = Some(PathBuf::from(value_for("--journal")?));
-            }
-            "--out" => {
-                out = Some(PathBuf::from(value_for("--out")?));
-            }
-            "--metrics" => {
-                metrics = Some(PathBuf::from(value_for("--metrics")?));
-            }
-            "--trace" => {
-                trace = Some(PathBuf::from(value_for("--trace")?));
-            }
-            "--timeout-ms" => {
-                let v = value_for("--timeout-ms")?;
-                let ms: u64 = v.parse().ok().filter(|&ms| ms > 0).ok_or_else(|| {
-                    format!(
-                        "--timeout-ms value {v:?} is not a positive integer\n{}",
-                        usage()
-                    )
-                })?;
-                timeout_ms = Some(ms);
-            }
-            "--retries" => {
-                let v = value_for("--retries")?;
-                retries = v.parse().map_err(|_| {
-                    format!(
-                        "--retries value {v:?} is not a non-negative integer\n{}",
-                        usage()
-                    )
-                })?;
-            }
-            "--shards" => {
-                let v = value_for("--shards")?;
-                let n: usize = v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    format!("--shards value {v:?} is not a positive integer\n{}", usage())
-                })?;
-                shards = Some(n);
-            }
-            "--shard" => {
-                let v = value_for("--shard")?;
-                shard = Some(
-                    ShardSpec::parse(&v).map_err(|e| format!("{e}\n{}", usage()))?,
-                );
-            }
-            "--shard-stall-ms" => {
-                let v = value_for("--shard-stall-ms")?;
-                shard_stall_ms = v.parse().ok().filter(|&ms| ms > 0).ok_or_else(|| {
-                    format!(
-                        "--shard-stall-ms value {v:?} is not a positive integer\n{}",
-                        usage()
-                    )
-                })?;
-            }
-            "--shard-retries" => {
-                let v = value_for("--shard-retries")?;
-                shard_retries = v.parse().map_err(|_| {
-                    format!(
-                        "--shard-retries value {v:?} is not a non-negative integer\n{}",
-                        usage()
-                    )
-                })?;
-            }
-            "--table" => {
-                let v = value_for("--table")?;
-                set(&mut command, Command::Table(v))?;
-            }
-            "--figure" => {
-                let v = value_for("--figure")?;
-                set(&mut command, Command::Figure(v))?;
-            }
-            "--scenario" => {
-                let v = value_for("--scenario")?;
-                set(&mut command, Command::Scenario(v))?;
-            }
-            "--json" => {
-                let v = value_for("--json")?;
-                set(&mut command, Command::Json(v))?;
-            }
-            "--csv" => {
-                let v = value_for("--csv")?;
-                set(&mut command, Command::Csv(v))?;
-            }
-            "--bench-snapshot" => {
-                let v = value_for("--bench-snapshot")?;
-                set(&mut command, Command::BenchSnapshot(v))?;
-            }
-            "--bench-check" => {
-                let v = value_for("--bench-check")?;
-                set(&mut command, Command::BenchCheck(v))?;
-            }
-            "--bench-dir" => {
-                bench_dir = PathBuf::from(value_for("--bench-dir")?);
-            }
-            "--bench-against" => {
-                bench_against = Some(PathBuf::from(value_for("--bench-against")?));
-            }
-            "--bench-current" => {
-                bench_current = Some(PathBuf::from(value_for("--bench-current")?));
-            }
-            "--bench-tolerance" => {
-                let v = value_for("--bench-tolerance")?;
-                bench_tolerance =
-                    v.parse().ok().filter(|&t: &f64| t.is_finite() && t >= 1.0).ok_or_else(
-                        || {
-                            format!(
-                                "--bench-tolerance value {v:?} is not a finite ratio >= 1.0\n{}",
-                                usage()
-                            )
-                        },
-                    )?;
-            }
-            other => {
-                let kind = if other.starts_with('-') { "flag" } else { "argument" };
-                let hint = did_you_mean(other)
-                    .map(|s| format!(" (did you mean {s}?)"))
-                    .unwrap_or_default();
-                return Err(format!("unknown {kind} {other:?}{hint}\n{}", usage()));
-            }
-        }
-    }
-    if resume && journal.is_none() {
-        return Err(format!("--resume requires --journal PATH\n{}", usage()));
-    }
-    if shards.is_some() && shard.is_some() {
-        return Err(format!(
-            "--shards (orchestrator) and --shard (worker) are mutually exclusive\n{}",
-            usage()
-        ));
-    }
-    if shards.is_some() && journal.is_none() {
-        return Err(format!(
-            "--shards requires --journal PATH (shard journals merge into it)\n{}",
-            usage()
-        ));
-    }
-    if shard.is_some() && journal.is_none() {
-        return Err(format!(
-            "--shard requires --journal PATH (a worker's results live in its journal)\n{}",
-            usage()
-        ));
-    }
-    if shards.is_some() && resume {
-        return Err(format!(
-            "--shards cannot be combined with --resume \
-             (the orchestrator always replays the merged journal)\n{}",
-            usage()
-        ));
-    }
-    if shards.is_some() || shard.is_some() {
-        match &command {
-            None
-            | Some(
-                Command::All
-                | Command::Experiments
-                | Command::Table(_)
-                | Command::Figure(_)
-                | Command::Scenario(_)
-                | Command::Json(_)
-                | Command::Csv(_),
-            ) => {}
-            Some(Command::Help | Command::BenchSnapshot(_) | Command::BenchCheck(_)) => {
-                return Err(format!(
-                    "--shards/--shard need a rendering command \
-                     (a table, figure, scenario, json or csv target)\n{}",
-                    usage()
-                ))
-            }
-        }
-    }
-    if bench_against.is_some() || bench_current.is_some() {
-        match &command {
-            Some(Command::BenchCheck(topic)) if topic != "all" => {}
-            _ => {
-                return Err(format!(
-                    "--bench-against/--bench-current require --bench-check with a \
-                     single topic (kernels|sweep)\n{}",
-                    usage()
-                ))
-            }
-        }
-    }
-    Ok(Cli {
-        stats,
-        max_failures,
-        journal,
-        resume,
-        timeout_ms,
-        retries,
-        shards,
-        shard,
-        shard_stall_ms,
-        shard_retries,
-        out,
-        metrics,
-        trace,
-        profile,
-        bench_dir,
-        bench_against,
-        bench_current,
+    let default_stall_ms = shard::DEFAULT_STALL_TIMEOUT.as_millis() as u64;
+    let cli = Cli {
+        stats: args.has(&STATS),
+        max_failures: args.int(&MAX_FAILURES)?.unwrap_or(0),
+        durability,
+        shards: args.int(&SHARDS)?,
+        shard_stall_ms: args.int(&SHARD_STALL_MS)?.unwrap_or(default_stall_ms),
+        shard_retries: args.int(&SHARD_RETRIES)?.unwrap_or(shard::DEFAULT_LEASE_RETRIES),
+        out: args.path(&OUT),
+        metrics: args.path(&METRICS),
+        trace: args.path(&TRACE),
+        profile: args.has(&PROFILE),
+        bench_dir: args.path(&BENCH_DIR).unwrap_or_else(|| PathBuf::from(".")),
+        bench_against: args.path(&BENCH_AGAINST),
+        bench_current: args.path(&BENCH_CURRENT),
         bench_tolerance,
         command: command.unwrap_or(Command::All),
-    })
+        worker_args,
+    };
+    let (sharded, journal) = (cli.shards.is_some(), cli.durability.journal.is_some());
+    let worker = cli.durability.shard.is_some();
+    let renders =
+        !matches!(cli.command, Command::Help | Command::BenchSnapshot(_) | Command::BenchCheck(_));
+    let single_check = matches!(&cli.command, Command::BenchCheck(topic) if topic != "all");
+    let conflicts = [
+        (sharded && worker, "--shards (orchestrator) and --shard (worker) are mutually exclusive"),
+        (sharded && !journal, "--shards requires --journal PATH (shard journals merge into it)"),
+        (
+            worker && !journal,
+            "--shard requires --journal PATH (a worker's results live in its journal)",
+        ),
+        (
+            sharded && cli.durability.resume,
+            "--shards cannot be combined with --resume \
+             (the orchestrator always replays the merged journal)",
+        ),
+        (
+            (sharded || worker) && !renders,
+            "--shards/--shard need a rendering command \
+             (a table, figure, scenario, json or csv target)",
+        ),
+        (
+            (cli.bench_against.is_some() || cli.bench_current.is_some()) && !single_check,
+            "--bench-against/--bench-current require --bench-check with a \
+             single topic (kernels|sweep)",
+        ),
+    ];
+    match conflicts.into_iter().find(|&(conflict, _)| conflict) {
+        Some((_, message)) => Err(SPEC.error(message)),
+        None => Ok(cli),
+    }
 }
 
 /// Expands a bench topic argument into concrete topics.
@@ -461,7 +226,7 @@ fn bench_topics(topic: &str) -> Result<Vec<&'static str>, String> {
             .find(|&&t| t == other)
             .map(|&t| vec![t])
             .ok_or_else(|| {
-                format!("bench topic {other:?} is not one of kernels|sweep|all\n{}", usage())
+                SPEC.error(format!("bench topic {other:?} is not one of kernels|sweep|all"))
             }),
     }
 }
@@ -536,108 +301,20 @@ fn run_bench_check(cli: &Cli, topic: &str) -> Result<usize, String> {
     Ok(breaches_total)
 }
 
-/// Activates the durability layer when any of its flags were given or
-/// `faults` injects anything. Returns the guard keeping it active
-/// (`None` when the run is not durable), after reporting what a resume
-/// replayed.
-///
-/// # Errors
-///
-/// The journal cannot be opened, replayed or locked.
-fn activate_durability(cli: &Cli, faults: FaultPlan) -> Result<Option<DurabilityGuard>, String> {
-    let wanted = cli.journal.is_some()
-        || cli.resume
-        || cli.timeout_ms.is_some()
-        || cli.retries > 0
-        || cli.shard.is_some()
-        || !faults.is_empty();
-    if !wanted {
-        return Ok(None);
-    }
-    let config = DurabilityConfig {
-        journal: cli.journal.clone(),
-        resume: cli.resume,
-        timeout: cli.timeout_ms.map(Duration::from_millis),
-        retries: cli.retries,
-        shard: cli.shard,
-        faults,
-    };
-    let (guard, report) = durability::activate(config).map_err(|e| e.to_string())?;
-    if cli.resume {
-        let path = cli.journal.as_deref().unwrap_or_else(|| std::path::Path::new("?"));
-        eprintln!(
-            "resume: replayed {} journaled outcome(s) from {}",
-            report.records,
-            path.display()
-        );
-        if report.torn_tail {
-            eprintln!(
-                "warning: journal {} ended in a torn (partially written) record; \
-                 it was skipped and that point will be re-evaluated",
-                path.display()
-            );
-        }
-        if report.duplicates > 0 {
-            eprintln!(
-                "note: journal contained {} superseded record(s) (kept the latest)",
-                report.duplicates
-            );
-        }
-    }
-    Ok(Some(guard))
-}
-
-/// The command-line tail handed to every shard worker after the
-/// generated `--shard i/n --journal PATH [--resume]` prefix: the
-/// rendering command plus the forwarded per-point policy flags.
-///
-/// # Errors
-///
-/// A usage message when the command renders nothing (help or a bench
-/// command).
-fn worker_args(cli: &Cli) -> Result<Vec<String>, String> {
-    let mut args: Vec<String> = Vec::new();
-    match &cli.command {
-        Command::All => args.push("--all".into()),
-        Command::Experiments => args.push("--experiments".into()),
-        Command::Table(n) => args.extend(["--table".into(), n.clone()]),
-        Command::Figure(n) => args.extend(["--figure".into(), n.clone()]),
-        Command::Scenario(n) => args.extend(["--scenario".into(), n.clone()]),
-        Command::Json(which) => args.extend(["--json".into(), which.clone()]),
-        Command::Csv(which) => args.extend(["--csv".into(), which.clone()]),
-        Command::Help | Command::BenchSnapshot(_) | Command::BenchCheck(_) => {
-            return Err(format!(
-                "--shards needs a rendering command\n{}",
-                usage()
-            ))
-        }
-    }
-    if let Some(ms) = cli.timeout_ms {
-        args.extend(["--timeout-ms".into(), ms.to_string()]);
-    }
-    if cli.retries > 0 {
-        args.extend(["--retries".into(), cli.retries.to_string()]);
-    }
-    Ok(args)
-}
-
 /// `--shards N`: run the worker fleet to completion and merge the shard
-/// journals into `cli.journal`. The caller then renders by replaying
-/// the merged journal, so worker crashes and abandoned leases cost
-/// wall time, never output bytes.
+/// journals into `--journal`, which parsing made sure was given. The
+/// caller then renders by replaying the merged journal, so worker
+/// crashes and abandoned leases cost wall time, never output bytes.
 ///
 /// # Errors
 ///
-/// `--shards` without `--journal`, an executable path that cannot be
-/// found, a worker that cannot be spawned, or a failed journal merge.
+/// An executable path that cannot be found, a worker that cannot be
+/// spawned, or a failed journal merge.
 fn run_shard_fleet(cli: &Cli, shards: usize) -> Result<(), String> {
-    let merged = cli
-        .journal
-        .clone()
-        .ok_or_else(|| format!("--shards requires --journal PATH\n{}", usage()))?;
+    let merged = cli.durability.journal.clone().unwrap_or_default();
     let program = std::env::current_exe()
         .map_err(|e| format!("cannot locate the repro executable: {e}"))?;
-    let mut cfg = OrchestratorConfig::new(shards, merged, program, worker_args(cli)?);
+    let mut cfg = OrchestratorConfig::new(shards, merged, program, cli.worker_args.clone());
     cfg.stall_timeout = Duration::from_millis(cli.shard_stall_ms);
     cfg.lease_retries = cli.shard_retries;
     let report = shard::orchestrate(&cfg).map_err(|e| e.to_string())?;
@@ -685,7 +362,7 @@ fn run_shard_fleet(cli: &Cli, shards: usize) -> Result<(), String> {
 fn target_bytes(target: &ucore_bench::Target) -> Result<String, Box<dyn std::error::Error>> {
     match ucore_bench::render::render(target) {
         Ok(rendered) => Ok(rendered.body),
-        Err(e) if e.is_bad_target() => Err(format!("{e}\n{}", usage()).into()),
+        Err(e) if e.is_bad_target() => Err(SPEC.error(e).into()),
         Err(e) => Err(e.to_string().into()),
     }
 }
@@ -816,7 +493,7 @@ fn print_failure_diagnostic(snapshot: &MetricsSnapshot, max_failures: u64) {
 fn render(command: &Command) -> Result<String, Box<dyn std::error::Error>> {
     use ucore_bench::Target;
     let out = match command {
-        Command::Help => format!("{}\n", usage()),
+        Command::Help => format!("{}\n", SPEC.usage()),
         Command::All => ucore_bench::render_all()?,
         Command::Experiments => ucore_bench::experiments::render()?,
         Command::Table(n) => target_bytes(&Target::Table(n.clone()))?,
@@ -939,11 +616,10 @@ fn main() -> ExitCode {
         // honored it; the orchestrator's own replay-render leaves the
         // plan out so the same fault does not fire again.
         faults = FaultPlan::new();
-        cli.resume = true;
+        cli.durability.resume = true;
     }
-    let cli = cli;
     // Keep the journal alive (and fsync'd) for the whole render.
-    let _durability_guard = match activate_durability(&cli, faults) {
+    let _durability_guard = match cli::activate_durability(cli.durability.clone(), faults) {
         Ok(guard) => guard,
         Err(e) => {
             eprintln!("{e}");
@@ -980,7 +656,7 @@ fn main() -> ExitCode {
     // within the caller's tolerance. Shard *workers* skip this policing
     // — their journaled Failed records replay in the orchestrator,
     // which polices the whole merged run once.
-    if cli.shard.is_none() && snapshot.counter("points.failed") > cli.max_failures {
+    if cli.durability.shard.is_none() && snapshot.counter("points.failed") > cli.max_failures {
         print_failure_diagnostic(&snapshot, cli.max_failures);
         return ExitCode::from(2);
     }

@@ -2,8 +2,9 @@
 //!
 //! One rendering function per table and figure of the paper, consumed by
 //! the `repro` binary (`cargo run -p ucore-bench --bin repro -- --all`),
-//! and the one bench registry in [`snapshot`] (real kernels, sweeps,
-//! optimizer, allocator and journal).
+//! the one bench registry in [`snapshot`] (real kernels, sweeps,
+//! optimizer, allocator and journal), and [`cli`], the flag tables,
+//! parser and durability front end that `repro` and `served` share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,6 +13,7 @@
 // contract at the token level).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod cli;
 pub mod experiments;
 pub mod figures;
 pub mod render;

@@ -46,26 +46,30 @@ fn cleanup(path: &std::path::Path) {
 }
 
 /// `--shards N` output is byte-identical to the single-process run at
-/// every supported shard count, including the degenerate N = 1.
+/// every supported shard count, including the degenerate N = 1 — also
+/// when each first-attempt worker is killed at point 17 and its lease
+/// goes to a respawn without the one-shot fault.
 #[test]
 fn sharded_output_is_byte_identical_at_all_shard_counts() {
     let baseline = repro(&["--json", "figure-6"]);
     assert!(baseline.status.success());
 
-    for shards in ["1", "2", "4", "8"] {
+    let runs = ["1", "2", "4", "8"].into_iter().flat_map(|n| [(n, ""), (n, "kill@17")]);
+    for (shards, fault) in runs {
         let journal = scratch(&format!("ident-{shards}.jsonl"));
-        let out = repro(&[
+        let out = repro_with_fault(&[
             "--shards", shards,
             "--journal", journal.to_str().unwrap(),
             "--json", "figure-6",
-        ]);
-        assert!(out.status.success(), "--shards {shards}");
+        ], fault);
+        assert!(out.status.success(), "--shards {shards} {fault}");
         assert_eq!(
             out.stdout, baseline.stdout,
-            "--shards {shards} must render the exact single-process bytes"
+            "--shards {shards} {fault} must render the exact single-process bytes"
         );
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(err.contains("shards: merged"), "merge summary (--shards {shards}): {err}");
+        assert_eq!(err.contains("reassigning its lease"), !fault.is_empty(), "{fault}: {err}");
         cleanup(&journal);
     }
 }

@@ -10,8 +10,11 @@
 //!    `crates/serve/src/` and every `UcoreError` Display prefix in
 //!    `src/error.rs` vs DESIGN.md's error-taxonomy table (§18).
 //! 3. **CLI flags** — every whole-literal `"--flag"` string in the
-//!    `repro`, `served`, and `ucore-lint` argument parsers vs README's
-//!    CLI reference tables.
+//!    files each of `repro`, `served` and `ucore-lint` parses its flags
+//!    from vs that binary's README CLI reference table, the one under the
+//!    heading that names its parser file. The flags both binaries share
+//!    (`crates/bench/src/cli.rs`) count for both tables. Rows under no
+//!    binary's heading document whichever binaries parse them.
 //!
 //! Doc-side entries come only from table rows whose first cell is a
 //! backticked identifier matching the contract's grammar (see
@@ -36,12 +39,16 @@ pub struct ContractDrift;
 /// Metric-registering method names on the obs `Registry`.
 const METRIC_METHODS: [&str; 3] = ["counter", "gauge", "histogram"];
 
-/// The argument parsers whose `"--flag"` literals form the CLI contract.
-const FLAG_FILES: [&str; 3] = [
-    "crates/bench/src/bin/repro.rs",
-    "crates/serve/src/bin/served.rs",
-    "crates/lint/src/main.rs",
+/// Each binary's parser file, as its README CLI reference heading names
+/// it, with the files whose `"--flag"` literals form its CLI contract.
+const FLAG_FILES: [(&str, &[&str]); 3] = [
+    ("crates/bench/src/bin/repro.rs", &["crates/bench/src/bin/repro.rs", SHARED_FLAGS]),
+    ("crates/serve/src/bin/served.rs", &["crates/serve/src/bin/served.rs", SHARED_FLAGS]),
+    ("crates/lint/src/main.rs", &["crates/lint/src/main.rs"]),
 ];
+
+/// Where `repro` and `served` declare the flags they share.
+const SHARED_FLAGS: &str = "crates/bench/src/cli.rs";
 
 impl WorkspaceRule for ContractDrift {
     fn name(&self) -> &'static str {
@@ -59,8 +66,7 @@ impl WorkspaceRule for ContractDrift {
             self.check_errors(ws, &entries, out);
         }
         if let Some(readme) = &ws.docs.readme {
-            let entries = table_entries(readme);
-            self.check_flags(ws, &entries, out);
+            self.check_flags(ws, readme, out);
         }
     }
 }
@@ -155,37 +161,29 @@ impl ContractDrift {
         );
     }
 
-    fn check_flags(
-        &self,
-        ws: &WorkspaceContext<'_>,
-        entries: &[DocEntry],
-        out: &mut Vec<Diagnostic>,
-    ) {
-        let mut code = CodeSide::new();
-        for ctx in ws.files {
-            if !FLAG_FILES.iter().any(|f| ctx.rel_path.ends_with(f)) {
-                continue;
-            }
-            for (i, tok) in ctx.tokens.iter().enumerate() {
-                if ctx.in_test[i] || tok.kind != TokenKind::Str {
-                    continue;
-                }
-                let text = unquote(tok.text);
-                if is_flag_name(&text) {
-                    code.entry(text).or_insert((ctx.rel_path.clone(), tok.line, tok.col));
-                }
-            }
+    fn check_flags(&self, ws: &WorkspaceContext<'_>, readme: &str, out: &mut Vec<Diagnostic>) {
+        let entries = table_entries(readme);
+        let sections = flag_sections(readme);
+        let section = |e: &DocEntry| sections.get(e.line as usize - 1).copied().flatten();
+        let mut parsed = CodeSide::new();
+        for (binary, files) in FLAG_FILES {
+            let code = flag_literals(ws, files);
+            // Rows under no binary's heading document every binary that
+            // parses them...
+            let table: Vec<DocEntry> = entries
+                .iter()
+                .filter(|e| section(e).map_or(code.contains_key(&e.name), |b| b == binary))
+                .cloned()
+                .collect();
+            let name = format!("the README CLI reference table for {binary}");
+            self.diff(ws, &code, &table, is_flag_name, "CLI flag", &name, "parsed", out);
+            parsed.extend(code);
         }
-        self.diff(
-            ws,
-            &code,
-            entries,
-            is_flag_name,
-            "CLI flag",
-            "the README CLI reference tables",
-            "parsed",
-            out,
-        );
+        // ...and are stale only when none does.
+        let shared: Vec<DocEntry> = entries.into_iter().filter(|e| section(e).is_none()).collect();
+        parsed.retain(|name, _| shared.iter().any(|e| e.name == *name));
+        let name = "the README CLI reference tables";
+        self.diff(ws, &parsed, &shared, is_flag_name, "CLI flag", name, "parsed", out);
     }
 
     /// Emits both drift directions for one contract.
@@ -233,13 +231,48 @@ impl ContractDrift {
                     line: *line,
                     col: 1,
                     message: format!(
-                        "documented {noun} `{name}` is no longer {verb} anywhere in \
-                         code; delete the stale row or restore the identifier"
+                        "{noun} `{name}` in {table} is no longer {verb} in code; \
+                         delete the stale row or restore the identifier"
                     ),
                 });
             }
         }
     }
+}
+
+/// Every whole-literal `"--flag"` string in non-test code of `files`.
+fn flag_literals(ws: &WorkspaceContext<'_>, files: &[&str]) -> CodeSide {
+    let mut code = CodeSide::new();
+    for ctx in ws.files.iter().filter(|ctx| files.iter().any(|f| ctx.rel_path.ends_with(f))) {
+        for (i, tok) in ctx.tokens.iter().enumerate() {
+            if ctx.in_test[i] || tok.kind != TokenKind::Str {
+                continue;
+            }
+            let text = unquote(tok.text);
+            if is_flag_name(&text) {
+                code.entry(text).or_insert((ctx.rel_path.clone(), tok.line, tok.col));
+            }
+        }
+    }
+    code
+}
+
+/// For each line of `md`, the `FLAG_FILES` parser named by the nearest
+/// heading above it, skipping `# comments` in fenced code.
+fn flag_sections(md: &str) -> Vec<Option<&'static str>> {
+    let mut in_fence = false;
+    let mut current = None;
+    md.lines()
+        .map(|line| {
+            let trimmed = line.trim_start();
+            if trimmed.starts_with("```") {
+                in_fence = !in_fence;
+            } else if !in_fence && trimmed.starts_with('#') {
+                current = FLAG_FILES.iter().map(|&(bin, _)| bin).find(|bin| trimmed.contains(bin));
+            }
+            current
+        })
+        .collect()
 }
 
 /// When the ident at `i` is followed by `(` and a string literal,

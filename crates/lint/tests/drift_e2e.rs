@@ -1,10 +1,10 @@
 //! End-to-end contract-drift regression: copy the real workspace
-//! sources and docs into a scratch root, delete one documented
-//! `serve.*` metric row from the DESIGN.md copy, and run the built
-//! `ucore-lint` binary against it. The doctored tree must produce
-//! exactly that one drift finding and exit 1; the faithful copy must
-//! stay clean and exit 0 — which also pins the real tree's
-//! "workspace lints clean" guarantee from CI's perspective.
+//! sources and docs into a scratch root, delete one documented row (a
+//! `serve.*` metric from the DESIGN.md copy, or a `served` flag from the
+//! README copy), and run the built `ucore-lint` binary against it. Each
+//! doctored tree must produce exactly that one drift finding and exit 1;
+//! the faithful copy must stay clean and exit 0 — which also pins the
+//! real tree's "workspace lints clean" guarantee from CI's perspective.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -19,8 +19,9 @@ fn repo_root() -> PathBuf {
 }
 
 /// Copies every first-party source file plus the contract docs into
-/// `dst`, mutating the DESIGN.md text through `doctor`.
-fn copy_workspace(dst: &Path, doctor: impl Fn(String) -> String) {
+/// `dst`, mutating the DESIGN.md and README.md texts through `design`
+/// and `readme`.
+fn copy_workspace(dst: &Path, design: fn(String) -> String, readme: fn(String) -> String) {
     let root = repo_root();
     let files = walk::workspace_files(&root).expect("walk the real workspace");
     assert!(files.len() > 20, "workspace walk looks truncated: {}", files.len());
@@ -29,9 +30,9 @@ fn copy_workspace(dst: &Path, doctor: impl Fn(String) -> String) {
         fs::create_dir_all(to.parent().expect("file paths have parents")).expect("mkdir");
         fs::copy(root.join(&rel), to).expect("copy source file");
     }
-    let design = fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
-    fs::write(dst.join("DESIGN.md"), doctor(design)).expect("write DESIGN.md");
-    fs::copy(root.join("README.md"), dst.join("README.md")).expect("copy README.md");
+    let text = |doc: &str| fs::read_to_string(root.join(doc)).expect("read a contract doc");
+    fs::write(dst.join("DESIGN.md"), design(text("DESIGN.md"))).expect("write DESIGN.md");
+    fs::write(dst.join("README.md"), readme(text("README.md"))).expect("write README.md");
 }
 
 /// Runs the built binary with `--json --root dir`; returns (exit code,
@@ -55,7 +56,7 @@ fn faithful_copy_is_clean_and_dropping_a_metric_row_is_exactly_one_drift() {
 
     // Faithful copy: the workspace contract holds, exit 0.
     let clean = scratch.join("clean");
-    copy_workspace(&clean, |design| design);
+    copy_workspace(&clean, |design| design, |readme| readme);
     let (code, report) = lint(&clean);
     assert_eq!(report["total"], 0, "faithful copy must lint clean: {report}");
     assert_eq!(code, 0);
@@ -63,11 +64,12 @@ fn faithful_copy_is_clean_and_dropping_a_metric_row_is_exactly_one_drift() {
     // Doctored copy: the documented `serve.accepted` row is gone, so
     // the registration in crates/serve/src/obs.rs is undocumented.
     let doctored = scratch.join("doctored");
-    copy_workspace(&doctored, |design| {
+    let drop_metric_row = |design: String| {
         let row = "| `serve.accepted` |";
         assert!(design.contains(row), "DESIGN.md §18 must document serve.accepted");
         design.lines().filter(|l| !l.starts_with(row)).collect::<Vec<_>>().join("\n")
-    });
+    };
+    copy_workspace(&doctored, drop_metric_row, |readme| readme);
     let (code, report) = lint(&doctored);
     assert_eq!(code, 1, "drift must fail the run: {report}");
     assert_eq!(report["total"], 1, "exactly the one injected drift: {report}");
@@ -77,4 +79,23 @@ fn faithful_copy_is_clean_and_dropping_a_metric_row_is_exactly_one_drift() {
     let message = finding["message"].as_str().expect("message is a string");
     assert!(message.contains("`serve.accepted`"), "{message}");
     assert!(message.contains("missing from the DESIGN.md"), "{message}");
+
+    // Doctored README: `served`'s `--journal` row is gone. The flag is
+    // declared once, in crates/bench/src/cli.rs, for both binaries, and
+    // `repro`'s table still documents it; only `served`'s table drifts.
+    let doctored = scratch.join("doctored-readme");
+    copy_workspace(&doctored, |design| design, |readme| {
+        let served = readme.find("### `served`").expect("README has a served CLI table");
+        let at = served + readme[served..].find("| `--journal` |").expect("served documents it");
+        let end = at + readme[at..].find('\n').expect("row ends in a newline") + 1;
+        format!("{}{}", &readme[..at], &readme[end..])
+    });
+    let (code, report) = lint(&doctored);
+    assert_eq!(code, 1, "drift must fail the run: {report}");
+    assert_eq!(report["total"], 1, "exactly the one injected drift: {report}");
+    let finding = &report["findings"][0];
+    assert_eq!(finding["file"], "crates/bench/src/cli.rs");
+    let message = finding["message"].as_str().expect("message is a string");
+    assert!(message.contains("`--journal`") && message.contains("served.rs"), "{message}");
 }
+

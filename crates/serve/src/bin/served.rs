@@ -1,12 +1,6 @@
 //! The serving daemon: a long-running front end over the ucore model.
-//!
-//! ```text
-//! served --serve 127.0.0.1:7878                 # defaults
-//! served --serve 127.0.0.1:0 --workers 8        # free port, 8 workers
-//! served --serve ... --queue-depth 32 --request-timeout-ms 5000
-//! served --serve ... --journal run.jsonl        # durable sweeps
-//! served --serve ... --journal run.jsonl --resume   # replay first
-//! ```
+//! `served --help` lists every flag, generated from the flag table below
+//! and the durability flags [`ucore_bench::cli`] shares with `repro`.
 //!
 //! The daemon binds, prints `served: listening on ADDR` to stderr (so
 //! scripts can scrape the bound port when `--serve` used port 0), and
@@ -27,42 +21,47 @@
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
-use ucore_project::durability::{self, signals, DurabilityConfig, DurabilityGuard};
+use ucore_bench::cli::{self, Flag, Spec};
+use ucore_project::durability::{signals, DurabilityConfig};
 use ucore_project::faultinject::FaultPlan;
-use ucore_serve::{Limits, Server, ServerConfig};
+use ucore_serve::{Server, ServerConfig};
 
-fn usage() -> &'static str {
-    "usage: served [--serve ADDR] [--workers N] [--queue-depth N] \
-     [--request-timeout-ms N] [--drain-ms N] [--io-timeout-ms N] [--max-body-bytes N] \
-     [--journal PATH] [--resume] [--timeout-ms N] [--retries N]\n\
-     --serve ADDR: listen address (default 127.0.0.1:7878; port 0 picks a free port)\n\
-     --workers N: worker threads — the hard concurrency limit (default 4)\n\
-     --queue-depth N: accepted connections allowed to wait; beyond this, shed 503 (default 16)\n\
-     --request-timeout-ms N: per-request deadline; 0 disables (default 30000)\n\
-     --drain-ms N: how long shutdown waits for in-flight requests (default 5000)\n\
-     --io-timeout-ms N: socket read/write timeout bounding slow clients (default 10000)\n\
-     --max-body-bytes N: largest accepted request body (default 65536)\n\
-     --journal PATH: stream completed sweep points to an append-only checksummed journal\n\
-     --resume: replay the journal before serving (requires --journal)\n\
-     --timeout-ms N: release an injected stall (stall@i) as Failed{timeout} after N ms\n\
-     --retries N: retry failed points up to N times (default 0)"
-}
+const SERVE: Flag = Flag::text("--serve", "ADDR", "listen address (default 127.0.0.1:7878)");
+// The sizing flags are bounded: workers are spawned at bind, every queue
+// slot is preallocated, and a client's Content-Length may make a worker
+// allocate up to the body limit.
+const WORKERS: Flag = Flag::positive("--workers", "worker threads (default 4)").at_most(1024);
+const QUEUE_DEPTH: Flag =
+    Flag::count("--queue-depth", "connections that may wait; more shed 503 (default 16)")
+        .at_most(65_536);
+const REQUEST_TIMEOUT_MS: Flag =
+    Flag::count("--request-timeout-ms", "per-request deadline; 0 disables (default 30000)");
+const DRAIN_MS: Flag =
+    Flag::count("--drain-ms", "shutdown's wait for in-flight requests (default 5000)");
+const IO_TIMEOUT_MS: Flag =
+    Flag::positive("--io-timeout-ms", "socket read/write timeout (default 10000)");
+const MAX_BODY_BYTES: Flag =
+    Flag::count("--max-body-bytes", "largest request body (default 65536)").at_most(64 << 20);
+
+static SPEC: Spec = Spec {
+    synopsis: "usage: served [OPTION]...",
+    groups: &[
+        (
+            "options",
+            &[
+                SERVE, WORKERS, QUEUE_DEPTH, REQUEST_TIMEOUT_MS, DRAIN_MS, IO_TIMEOUT_MS,
+                MAX_BODY_BYTES, cli::HELP,
+            ],
+        ),
+        ("durability", cli::DURABILITY),
+    ],
+};
 
 struct Cli {
-    addr: String,
-    workers: usize,
-    queue_depth: usize,
-    request_timeout: Option<Duration>,
-    drain: Duration,
-    io_timeout: Duration,
-    max_body_bytes: usize,
-    journal: Option<PathBuf>,
-    resume: bool,
-    timeout_ms: Option<u64>,
-    retries: u32,
+    server: ServerConfig,
+    durability: DurabilityConfig,
     help: bool,
 }
 
@@ -70,139 +69,21 @@ struct Cli {
 ///
 /// # Errors
 ///
-/// A usage message for an unknown flag, a missing or unparsable
+/// A usage message for an unknown flag, a missing or out-of-range
 /// value, or `--resume` without `--journal`.
-fn parse(args: Vec<String>) -> Result<Cli, String> {
-    let mut cli = Cli {
-        addr: String::from("127.0.0.1:7878"),
-        workers: 4,
-        queue_depth: 16,
-        request_timeout: Some(Duration::from_millis(30_000)),
-        drain: Duration::from_millis(5_000),
-        io_timeout: Duration::from_millis(10_000),
-        max_body_bytes: 64 * 1024,
-        journal: None,
-        resume: false,
-        timeout_ms: None,
-        retries: 0,
-        help: false,
-    };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value_for = |flag: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{flag} needs a value\n{}", usage()))
-        };
-        let parse_u64 = |flag: &str, v: &str| -> Result<u64, String> {
-            v.parse().map_err(|_| {
-                format!("{flag} value {v:?} is not a non-negative integer\n{}", usage())
-            })
-        };
-        match arg.as_str() {
-            "--help" | "-h" => cli.help = true,
-            "--serve" => cli.addr = value_for("--serve")?,
-            "--workers" => {
-                let v = value_for("--workers")?;
-                cli.workers = v.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                    format!("--workers value {v:?} is not a positive integer\n{}", usage())
-                })?;
-            }
-            "--queue-depth" => {
-                let v = value_for("--queue-depth")?;
-                cli.queue_depth = parse_u64("--queue-depth", &v)? as usize;
-            }
-            "--request-timeout-ms" => {
-                let v = value_for("--request-timeout-ms")?;
-                let ms = parse_u64("--request-timeout-ms", &v)?;
-                cli.request_timeout = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--drain-ms" => {
-                let v = value_for("--drain-ms")?;
-                cli.drain = Duration::from_millis(parse_u64("--drain-ms", &v)?);
-            }
-            "--io-timeout-ms" => {
-                let v = value_for("--io-timeout-ms")?;
-                let ms = parse_u64("--io-timeout-ms", &v)?;
-                if ms == 0 {
-                    return Err(format!(
-                        "--io-timeout-ms must be positive (it bounds slow-loris clients)\n{}",
-                        usage()
-                    ));
-                }
-                cli.io_timeout = Duration::from_millis(ms);
-            }
-            "--max-body-bytes" => {
-                let v = value_for("--max-body-bytes")?;
-                cli.max_body_bytes = parse_u64("--max-body-bytes", &v)? as usize;
-            }
-            "--journal" => cli.journal = Some(PathBuf::from(value_for("--journal")?)),
-            "--resume" => cli.resume = true,
-            "--timeout-ms" => {
-                let v = value_for("--timeout-ms")?;
-                let ms = parse_u64("--timeout-ms", &v)?;
-                if ms == 0 {
-                    return Err(format!(
-                        "--timeout-ms must be positive\n{}",
-                        usage()
-                    ));
-                }
-                cli.timeout_ms = Some(ms);
-            }
-            "--retries" => {
-                let v = value_for("--retries")?;
-                cli.retries = v.parse().map_err(|_| {
-                    format!("--retries value {v:?} is not a non-negative integer\n{}", usage())
-                })?;
-            }
-            other => {
-                return Err(format!("unknown flag {other:?}\n{}", usage()));
-            }
-        }
+fn parse(argv: Vec<String>) -> Result<Cli, String> {
+    let args = SPEC.parse(argv)?;
+    let mut server = ServerConfig::new(args.text(&SERVE).unwrap_or("127.0.0.1:7878"));
+    server.workers = args.int(&WORKERS)?.unwrap_or(server.workers);
+    server.queue_depth = args.int(&QUEUE_DEPTH)?.unwrap_or(server.queue_depth);
+    if let Some(ms) = args.int(&REQUEST_TIMEOUT_MS)? {
+        server.request_timeout = (ms > 0).then(|| Duration::from_millis(ms));
     }
-    if cli.resume && cli.journal.is_none() {
-        return Err(format!("--resume requires --journal PATH\n{}", usage()));
-    }
-    Ok(cli)
-}
-
-/// Activates the durability layer when any of its flags were given,
-/// reporting what a resume replayed (same contract as `repro`).
-///
-/// # Errors
-///
-/// The journal cannot be opened, replayed or locked.
-fn activate_durability(cli: &Cli, faults: FaultPlan) -> Result<Option<DurabilityGuard>, String> {
-    let wanted = cli.journal.is_some()
-        || cli.timeout_ms.is_some()
-        || cli.retries > 0
-        || !faults.is_empty();
-    if !wanted {
-        return Ok(None);
-    }
-    let config = DurabilityConfig {
-        journal: cli.journal.clone(),
-        resume: cli.resume,
-        timeout: cli.timeout_ms.map(Duration::from_millis),
-        retries: cli.retries,
-        shard: None,
-        faults,
-    };
-    let (guard, report) = durability::activate(config).map_err(|e| e.to_string())?;
-    if cli.resume {
-        let path = cli.journal.as_deref().unwrap_or_else(|| std::path::Path::new("?"));
-        eprintln!(
-            "resume: replayed {} journaled outcome(s) from {}",
-            report.records,
-            path.display()
-        );
-        if report.torn_tail {
-            eprintln!(
-                "warning: journal {} ended in a torn (partially written) record; \
-                 it was skipped and that point will be re-evaluated",
-                path.display()
-            );
-        }
-    }
-    Ok(Some(guard))
+    server.drain = args.int(&DRAIN_MS)?.map_or(server.drain, Duration::from_millis);
+    server.io_timeout = args.int(&IO_TIMEOUT_MS)?.map_or(server.io_timeout, Duration::from_millis);
+    server.limits.max_body_bytes =
+        args.int(&MAX_BODY_BYTES)?.unwrap_or(server.limits.max_body_bytes);
+    Ok(Cli { server, durability: cli::durability_config(&args)?, help: args.has(&cli::HELP) })
 }
 
 fn main() -> ExitCode {
@@ -218,30 +99,22 @@ fn main() -> ExitCode {
         }
     };
     if cli.help {
-        println!("{}", usage());
+        println!("{}", SPEC.usage());
         return ExitCode::SUCCESS;
     }
     let faults = FaultPlan::from_env_value(std::env::var("UCORE_FAULT_INJECT").ok().as_deref());
-    let _durability_guard = match activate_durability(&cli, faults) {
+    let _durability_guard = match cli::activate_durability(cli.durability, faults) {
         Ok(guard) => guard,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    let config = ServerConfig {
-        addr: cli.addr.clone(),
-        workers: cli.workers,
-        queue_depth: cli.queue_depth,
-        request_timeout: cli.request_timeout,
-        drain: cli.drain,
-        io_timeout: cli.io_timeout,
-        limits: Limits { max_body_bytes: cli.max_body_bytes, ..Limits::default() },
-    };
-    let server = match Server::bind(config) {
+    let (addr, workers) = (cli.server.addr.clone(), cli.server.workers);
+    let server = match Server::bind(cli.server) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", cli.addr);
+            eprintln!("error: cannot bind {addr}: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -268,7 +141,7 @@ fn main() -> ExitCode {
         Ok(report) => {
             eprintln!(
                 "warning: drain deadline expired with {} worker(s) still busy",
-                cli.workers.saturating_sub(report.workers_joined)
+                workers.saturating_sub(report.workers_joined)
             );
             ExitCode::FAILURE
         }
@@ -279,4 +152,25 @@ fn main() -> ExitCode {
     }
     // _durability_guard drops here: the journal gets its final fsync
     // after the drain, so a graceful exit never leaves a torn tail.
+}
+
+#[cfg(test)]
+mod tests {
+    /// Parsing alone refuses an over-cap value: nothing here binds,
+    /// spawns or allocates what the value asks for.
+    #[test]
+    fn sizing_flags_are_bounded_where_they_are_parsed() {
+        let huge = u64::MAX.to_string();
+        for (flag, max, over) in [
+            ("--workers", "1024", "1025"),
+            ("--queue-depth", "65536", "65537"),
+            ("--queue-depth", "65536", huge.as_str()),
+            ("--max-body-bytes", "67108864", "67108865"),
+        ] {
+            assert!(super::parse(vec![flag.into(), max.into()]).is_ok(), "{flag} {max}");
+            let err = super::parse(vec![flag.into(), over.into()]).err().expect("over the cap");
+            let line = format!("{flag} value \"{over}\" exceeds the maximum of {max}\n");
+            assert!(err.starts_with(&line) && err.contains("usage: served"), "{err}");
+        }
+    }
 }
