@@ -122,9 +122,8 @@ impl BoundSet {
     /// parallel-phase bounds leave no usable resources (`n_max < r`).
     pub fn compute(spec: &ChipSpec, budgets: &Budgets, r: f64) -> Result<Self, ModelError> {
         crate::error::ensure_positive("r", r)?;
-        Self::compute_quiet(spec, budgets, r).map_err(|why| {
-            let p = budgets.power();
-            let b = budgets.bandwidth();
+        let caps = BoundCaps::new(spec, budgets);
+        caps.at(r).map_err(|why| {
             match why {
                 Infeasibility::InvalidR => ModelError::Infeasible {
                     reason: format!("r = {r} is not a positive finite number"),
@@ -133,20 +132,20 @@ impl BoundSet {
                     reason: format!(
                         "serial power bound violated: perf(r)^alpha = {:.3} > P = {:.3}",
                         spec.serial_power(r),
-                        p
+                        budgets.power()
                     ),
                 },
                 Infeasibility::SerialBandwidth => ModelError::Infeasible {
                     reason: format!(
                         "serial bandwidth bound violated: traffic = {:.3} > B = {:.3}",
                         spec.serial_bandwidth(r),
-                        b
+                        budgets.bandwidth()
                     ),
                 },
                 Infeasibility::NoParallelRoom => ModelError::Infeasible {
                     reason: format!(
                         "parallel-phase bounds leave n_max = {:.3} below r = {r}",
-                        Self::unchecked(spec, budgets, r).n_max()
+                        caps.unchecked(r).n_max()
                     ),
                 },
             }
@@ -155,8 +154,10 @@ impl BoundSet {
 
     /// [`Self::compute`] without the rendered diagnostics: infeasibility
     /// comes back as a plain [`Infeasibility`] enum, so probing an
-    /// infeasible candidate allocates nothing. The feasibility checks and
-    /// their order are identical to [`Self::compute`].
+    /// infeasible candidate allocates nothing. Both run the checks of
+    /// `BoundCaps::at`, which the optimizer calls directly so that the
+    /// caps that do not depend on `r` (`r_max_power`, `r_max_bandwidth`,
+    /// `B^(1/e)`) are computed once per sweep, not once per candidate.
     ///
     /// # Errors
     ///
@@ -167,68 +168,7 @@ impl BoundSet {
         budgets: &Budgets,
         r: f64,
     ) -> Result<Self, Infeasibility> {
-        if !(r.is_finite() && r > 0.0) {
-            return Err(Infeasibility::InvalidR);
-        }
-        let bounds = Self::unchecked(spec, budgets, r);
-        if r > bounds.r_max_power + 1e-9 {
-            return Err(Infeasibility::SerialPower);
-        }
-        if r > bounds.r_max_bandwidth + 1e-9 {
-            return Err(Infeasibility::SerialBandwidth);
-        }
-        if bounds.n_max() < r - 1e-9 {
-            return Err(Infeasibility::NoParallelRoom);
-        }
-        Ok(bounds)
-    }
-
-    /// Evaluates every Table 1 bound expression without feasibility
-    /// checks. All the expressions are well-defined for any positive `r`.
-    fn unchecked(spec: &ChipSpec, budgets: &Budgets, r: f64) -> Self {
-        let law = spec.law();
-        let power_law = spec.power_law();
-        let p = budgets.power();
-        let b = budgets.bandwidth();
-
-        // Serial-phase caps: the sequential core alone must fit.
-        // Serial power: perf(r)^α = r^(kα) <= P  =>  r <= P^(1/(kα)).
-        let r_max_power = p.powf(1.0 / (law.exponent() * power_law.alpha()));
-        // Serial bandwidth: perf(r)^e <= B  =>  perf(r) <= B^(1/e).
-        let r_max_bandwidth = law.area_for_perf(spec.max_perf_for_bandwidth(b));
-
-        let seq_power = power_law.power_of_perf(law.perf(r));
-        let seq_perf = law.perf(r);
-
-        // Parallel-phase power bound on n.
-        let n_power = match spec.kind() {
-            ChipKind::Symmetric => p * r / seq_power,
-            ChipKind::Asymmetric => p - seq_power + r,
-            ChipKind::AsymmetricOffload => p + r,
-            ChipKind::Dynamic => p,
-            ChipKind::Heterogeneous(u) => p / u.phi() + r,
-        };
-
-        // Parallel-phase bandwidth bound on n: the budget caps parallel
-        // *performance* at B^(1/e); each machine maps that performance
-        // cap back to an n (parallel performance is affine in n).
-        let perf_cap = spec.max_perf_for_bandwidth(b);
-        let n_bandwidth = match spec.kind() {
-            ChipKind::Symmetric => perf_cap * r / seq_perf,
-            ChipKind::Asymmetric => perf_cap - seq_perf + r,
-            ChipKind::AsymmetricOffload => perf_cap + r,
-            ChipKind::Dynamic => perf_cap,
-            ChipKind::Heterogeneous(u) => perf_cap / u.mu() + r,
-        };
-
-        BoundSet {
-            n_area: budgets.area(),
-            n_power,
-            n_bandwidth,
-            r_max_power,
-            r_max_bandwidth,
-            r,
-        }
+        BoundCaps::new(spec, budgets).at(r)
     }
 
     /// The area bound on `n` (`= A`).
@@ -285,6 +225,86 @@ impl BoundSet {
             Constraint::SerialPower => self.r_max_power,
             Constraint::ParallelBandwidth => self.n_bandwidth,
             Constraint::SerialBandwidth => self.r_max_bandwidth,
+        }
+    }
+}
+
+/// The Table 1 pieces that do not depend on `r`, computed once per
+/// `(spec, budgets)`; [`crate::Optimizer`] resolves each candidate with
+/// [`Self::at`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BoundCaps<'a> {
+    spec: &'a ChipSpec,
+    budgets: &'a Budgets,
+    r_max_power: f64,
+    r_max_bandwidth: f64,
+    perf_cap: f64,
+}
+
+impl<'a> BoundCaps<'a> {
+    pub(crate) fn new(spec: &'a ChipSpec, budgets: &'a Budgets) -> Self {
+        let law = spec.law();
+        // Serial power: perf(r)^α = r^(kα) <= P  =>  r <= P^(1/(kα)).
+        let r_max_power = budgets.power().powf(1.0 / (law.exponent() * spec.power_law().alpha()));
+        // Bandwidth caps performance, serial or parallel: perf^e <= B.
+        let perf_cap = budgets.bandwidth().powf(1.0 / spec.bandwidth_exponent());
+        let r_max_bandwidth = law.area_for_perf(perf_cap);
+        BoundCaps { spec, budgets, r_max_power, r_max_bandwidth, perf_cap }
+    }
+
+    /// [`BoundSet::compute_quiet`] at `r`: the checks in order, then the
+    /// bounds.
+    ///
+    /// # Errors
+    ///
+    /// The first [`Infeasibility`] that `r` hits.
+    pub(crate) fn at(&self, r: f64) -> Result<BoundSet, Infeasibility> {
+        if !(r.is_finite() && r > 0.0) {
+            return Err(Infeasibility::InvalidR);
+        }
+        if r > self.r_max_power + 1e-9 {
+            return Err(Infeasibility::SerialPower);
+        }
+        if r > self.r_max_bandwidth + 1e-9 {
+            return Err(Infeasibility::SerialBandwidth);
+        }
+        let bounds = self.unchecked(r);
+        if bounds.n_max() < r - 1e-9 {
+            return Err(Infeasibility::NoParallelRoom);
+        }
+        Ok(bounds)
+    }
+
+    /// Evaluates every Table 1 bound expression without feasibility
+    /// checks. All the expressions are well-defined for any positive `r`.
+    fn unchecked(&self, r: f64) -> BoundSet {
+        let (p, cap) = (self.budgets.power(), self.perf_cap);
+        let seq_perf = self.spec.law().perf(r);
+        let seq_power = || self.spec.power_law().power_of_perf(seq_perf);
+        // Parallel-phase bounds on n: each machine maps the power budget
+        // and the performance cap back to an n (its parallel power and
+        // performance are affine in n).
+        let n_power = match self.spec.kind() {
+            ChipKind::Symmetric => p * r / seq_power(),
+            ChipKind::Asymmetric => p - seq_power() + r,
+            ChipKind::AsymmetricOffload => p + r,
+            ChipKind::Dynamic => p,
+            ChipKind::Heterogeneous(u) => p / u.phi() + r,
+        };
+        let n_bandwidth = match self.spec.kind() {
+            ChipKind::Symmetric => cap * r / seq_perf,
+            ChipKind::Asymmetric => cap - seq_perf + r,
+            ChipKind::AsymmetricOffload => cap + r,
+            ChipKind::Dynamic => cap,
+            ChipKind::Heterogeneous(u) => cap / u.mu() + r,
+        };
+        BoundSet {
+            n_area: self.budgets.area(),
+            n_power,
+            n_bandwidth,
+            r_max_power: self.r_max_power,
+            r_max_bandwidth: self.r_max_bandwidth,
+            r,
         }
     }
 }

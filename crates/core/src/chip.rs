@@ -162,12 +162,6 @@ impl ChipSpec {
         self.bw_exponent
     }
 
-    /// The largest parallel-phase *performance* a bandwidth budget `b`
-    /// admits: inverts `perf^e <= b`.
-    pub(crate) fn max_perf_for_bandwidth(&self, b: f64) -> f64 {
-        b.powf(1.0 / self.bw_exponent)
-    }
-
     /// Speedup of the design `(n, r)` on a workload with parallel fraction
     /// `f`, ignoring budgets.
     ///

@@ -14,15 +14,20 @@
 //! ## Search strategy
 //!
 //! [`Optimizer::optimize`] is the tuned search. It differs from the
-//! plain scan kept in [`Optimizer::optimize_exhaustive`] in three ways,
+//! plain scan kept in [`Optimizer::optimize_exhaustive`] in these ways,
 //! each of which preserves the result:
 //!
-//! 1. candidates come from a lazy iterator and infeasible probes use
-//!    [`BoundSet::compute_quiet`], so the sweep allocates nothing;
-//! 2. a serial-bound violation stops the sweep: the serial caps do not
+//! 1. candidates come from a lazy iterator, infeasible probes come back
+//!    as a plain [`crate::Infeasibility`], and the Table 1 caps that do
+//!    not depend on `r` (`r_max_power`, `r_max_bandwidth`, `B^(1/e)`)
+//!    are computed once per call;
+//! 2. each candidate computes only its speedup, after the checks
+//!    [`ChipSpec::evaluate`] makes, and the one [`Evaluation`] built is
+//!    the winner's;
+//! 3. a serial-bound violation stops the sweep: the serial caps do not
 //!    depend on `r`, so every larger candidate is infeasible too
 //!    ([`crate::Infeasibility::is_monotone_in_r`]);
-//! 3. when the sweep lies in the range where speedup is quasi-concave in
+//! 4. when the sweep lies in the range where speedup is quasi-concave in
 //!    `r` — `r_min ≥ 1`, Pollack exponent `0 < k ≤ 1` and serial power
 //!    exponent `α ≥ 1` (DESIGN.md §15.1 proves it per chip kind) — the
 //!    first feasible candidate below its predecessor is past the peak,
@@ -36,7 +41,7 @@
 //! and outside the range and with `f` hugging 1, to guard the
 //! floating-point code.
 
-use crate::bounds::BoundSet;
+use crate::bounds::{BoundCaps, BoundSet};
 use crate::budget::Budgets;
 use crate::chip::{ChipSpec, Evaluation};
 use crate::error::{ensure_positive, ModelError};
@@ -176,26 +181,40 @@ impl Optimizer {
         // (`PollackLaw` already guarantees `k > 0`.)
         let exit_on_descent =
             self.r_min >= 1.0 && spec.law().exponent() <= 1.0 && spec.power_law().alpha() >= 1.0;
-        let mut best: Option<Evaluation> = None;
+        let caps = BoundCaps::new(spec, budgets);
+        let mut best: Option<(f64, f64, f64)> = None;
         // NaN until the first feasible candidate: no comparison holds.
         let mut prev = f64::NAN;
         for r in self.candidate_values() {
-            let evaluation = match evaluate_candidate(spec, budgets, f, r) {
-                Ok(Some(evaluation)) => evaluation,
-                Ok(None) => continue,
-                Err(StopSweep) => break,
+            // Skip exactly what `evaluate` rejects: the winner's cannot fail.
+            let bounds = match caps.at(r) {
+                Ok(bounds) => bounds,
+                Err(why) if why.is_monotone_in_r() => break,
+                Err(_) => continue,
             };
-            let speedup = evaluation.speedup.get();
+            // Use every BCE the tightest bound permits, but never fewer
+            // than the sequential core itself occupies.
+            let n = bounds.n_max().max(r);
+            // Designs with no parallel resources cannot run parallel work,
+            // and `evaluate` rejects an `n` past the bound's slack (an `r`
+            // just above `n_max`).
+            if (f.get() > 0.0 && spec.parallel_perf(n, r) <= 0.0) || n > bounds.n_max() + 1e-9 {
+                continue;
+            }
+            let Ok(speedup) = spec.speedup(f, n, r) else {
+                continue;
+            };
+            let speedup = speedup.get();
             if exit_on_descent && speedup < prev * (1.0 - NOISE_FLOOR) {
                 break;
             }
             prev = speedup;
-            if best.is_none_or(|b| evaluation.speedup > b.speedup) {
-                best = Some(evaluation);
+            if best.is_none_or(|(b, _, _)| speedup > b) {
+                best = Some((speedup, n, r));
             }
         }
-        let evaluation = best.ok_or_else(|| self.infeasible(spec, budgets, f))?;
-        Ok(OptimalDesign { evaluation })
+        let (_, n, r) = best.ok_or_else(|| self.infeasible(spec, budgets, f))?;
+        Ok(OptimalDesign { evaluation: spec.evaluate(f, n, r, budgets)? })
     }
 
     /// The reference sweep: allocating candidate list,
@@ -246,41 +265,6 @@ impl Optimizer {
         }
     }
 }
-
-/// Probes one candidate `r`: bounds, `n` resolution, evaluation. Returns
-/// `Ok(None)` for a skipped (infeasible) candidate, and `Err` only for
-/// the provably-monotone serial-bound violation, which the caller
-/// translates into "stop sweeping" — the error value itself is never
-/// surfaced.
-///
-/// # Errors
-///
-/// The serial-bound violation described above.
-#[inline]
-fn evaluate_candidate(
-    spec: &ChipSpec,
-    budgets: &Budgets,
-    f: ParallelFraction,
-    r: f64,
-) -> Result<Option<Evaluation>, StopSweep> {
-    let bounds = match BoundSet::compute_quiet(spec, budgets, r) {
-        Ok(bounds) => bounds,
-        Err(why) if why.is_monotone_in_r() => return Err(StopSweep),
-        Err(_) => return Ok(None),
-    };
-    // Use every BCE the tightest bound permits, but never fewer than the
-    // sequential core itself occupies.
-    let n = bounds.n_max().max(r);
-    // Designs with no parallel resources cannot run parallel work.
-    if f.get() > 0.0 && spec.parallel_perf(n, r) <= 0.0 {
-        return Ok(None);
-    }
-    Ok(spec.evaluate(f, n, r, budgets).ok())
-}
-
-/// Sentinel returned by [`evaluate_candidate`] when the remaining tail
-/// of an increasing `r` sweep is provably infeasible.
-struct StopSweep;
 
 /// How far (relative) a speedup must fall below its predecessor before
 /// [`Optimizer::optimize`] exits: 2^-32. Over the reals any descent would

@@ -111,6 +111,52 @@ proptest! {
         }
     }
 
+    /// The rejection edges the tuned loop mirrors from
+    /// `ChipSpec::evaluate`: an area budget within ±2e-9 of a swept `r`
+    /// (in half the cases within a few ulps of `r − 1e-9`), with power
+    /// and bandwidth loose enough that area binds, so `n_max = A` sits
+    /// on the `NoParallelRoom` slack (`n_max < r − 1e-9`) and on
+    /// `evaluate`'s `n > n_max + 1e-9`. `f = 0` in a third of the cases
+    /// lets a design with no parallel room reach the second check.
+    #[test]
+    fn rejection_edges_match_exhaustive_exactly(
+        grid in prop::sample::select(vec![
+            (1.0, 16.0, 1.0),
+            (0.5, 24.0, 0.25),
+            (0.05, 16.0, 0.05),
+        ]),
+        pick in 0..512usize,
+        delta in -2e-9..2e-9f64,
+        ulps in -4..=4i32,
+        on_slack in 0..2u32,
+        p in 1e3..1e5f64,
+        b in 1e3..1e5f64,
+        mu in 0.1..60.0f64,
+        phi in 0.05..6.0f64,
+        f in (0.0..1.0f64, 0..3u32).prop_map(|(x, pick)| match pick {
+            0 => 0.0,
+            1 => 1.0,
+            _ => x,
+        }),
+    ) {
+        let (r_min, r_max, r_step) = grid;
+        let opt = Optimizer::new(r_min, r_max, r_step).unwrap();
+        let candidates = opt.candidates();
+        let r = candidates[pick % candidates.len()];
+        let a = if on_slack == 1 {
+            (0..ulps.unsigned_abs()).fold(r - 1e-9, |x, _| {
+                if ulps < 0 { x.next_down() } else { x.next_up() }
+            })
+        } else {
+            r + delta
+        };
+        let budgets = Budgets::new(a, p, b).unwrap();
+        let f = ParallelFraction::new(f).unwrap();
+        for spec in all_specs(mu, phi) {
+            assert_equivalent(&opt, &spec, &budgets, f);
+        }
+    }
+
     /// The lazy candidate iterator reproduces the allocated list down to
     /// the accumulated-rounding bit patterns, including fractional steps
     /// where `r += step` rounds.

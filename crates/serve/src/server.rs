@@ -1,11 +1,13 @@
 //! The server proper: listener, admission control, worker pool, and
 //! the drain state machine.
 //!
-//! Admission is a bounded `sync_channel`: the acceptor thread `try_send`s
-//! each accepted connection to the pool and, when every worker is busy
-//! *and* the queue is full, sheds the connection immediately with a
-//! structured `server.overloaded` 503 — overload degrades into fast,
-//! explicit rejections, never unbounded queue growth or a hung client.
+//! Admission counts occupancy: the acceptor thread admits a connection
+//! while fewer than `workers + queue_depth` connections are queued or in
+//! flight, handing it to the pool over a `sync_channel` of that capacity
+//! (the hard cap), and otherwise sheds it immediately with a structured
+//! `server.overloaded` 503 — overload degrades into fast, explicit
+//! rejections, never unbounded queue growth or a hung client. An idle
+//! worker need not be parked in `recv` for a connection to be admitted.
 //! The acceptor blocks in `accept`, so a connection is admitted the
 //! moment it arrives. Shutdown is a three-step drain: stop admitting
 //! ([`ShutdownHandle::request`] sets the flag and wakes the blocked
@@ -79,13 +81,24 @@ pub struct DrainReport {
     pub workers_joined: usize,
 }
 
-/// Cross-thread occupancy counts behind the `serve.queue_depth` and
-/// `serve.inflight` gauges (gauges alone are last-write-wins and
-/// cannot be incremented atomically).
+/// Cross-thread occupancy counts behind admission and the
+/// `serve.queue_depth` and `serve.inflight` gauges (gauges alone are
+/// last-write-wins and cannot be incremented atomically).
 #[derive(Debug, Default)]
 struct Occupancy {
     queued: AtomicI64,
     inflight: AtomicI64,
+}
+
+impl Occupancy {
+    /// Connections admitted and not yet answered. `queued` is read
+    /// first: a worker raises `inflight` before it lowers `queued`, so a
+    /// connection passing from one to the other is never missed (at
+    /// worst it is counted twice, which sheds conservatively).
+    fn occupied(&self) -> i64 {
+        let queued = self.queued.load(Ordering::SeqCst);
+        queued + self.inflight.load(Ordering::SeqCst)
+    }
 }
 
 /// A bound listener plus its shutdown handle; `run` turns it into the
@@ -175,7 +188,8 @@ impl Server {
     /// as that connection's outcome.
     pub fn run(self) -> io::Result<DrainReport> {
         let workers = self.config.workers.max(1);
-        let (sender, receiver) = std::sync::mpsc::sync_channel::<TcpStream>(self.config.queue_depth);
+        let capacity = workers + self.config.queue_depth;
+        let (sender, receiver) = std::sync::mpsc::sync_channel::<TcpStream>(capacity);
         let receiver = Arc::new(Mutex::new(receiver));
         let occupancy = Arc::new(Occupancy::default());
         let mut handles = Vec::with_capacity(workers);
@@ -188,7 +202,7 @@ impl Server {
             }));
         }
 
-        self.accept_loop(&sender, &occupancy);
+        self.accept_loop(&sender, &occupancy, capacity);
 
         // Drop our sender so the queue disconnects once drained and the
         // workers exit their recv loops.
@@ -219,10 +233,11 @@ impl Server {
         Ok(report)
     }
 
-    /// Accepts until shutdown: admit to the bounded queue or shed. A
-    /// connection accepted once shutdown was requested (the wake
-    /// connection, or a client racing it) is refused as a late arrival.
-    fn accept_loop(&self, sender: &SyncSender<TcpStream>, occupancy: &Occupancy) {
+    /// Accepts until shutdown: admit while fewer than `capacity`
+    /// connections are queued or in flight, else shed. A connection
+    /// accepted once shutdown was requested (the wake connection, or a
+    /// client racing it) is refused as a late arrival.
+    fn accept_loop(&self, sender: &SyncSender<TcpStream>, occupancy: &Occupancy, capacity: usize) {
         let m = crate::obs::metrics();
         while !self.shutdown.requested() {
             match self.listener.accept() {
@@ -233,7 +248,15 @@ impl Server {
                 Ok((stream, _)) => {
                     m.accepted.inc();
                     configure_stream(&stream, &self.config);
-                    match sender.try_send(stream) {
+                    // Only this thread raises `queued`, and it does so
+                    // right after each send, so the count it reads here
+                    // covers every connection it admitted.
+                    let admitted = if occupancy.occupied() < capacity as i64 {
+                        sender.try_send(stream)
+                    } else {
+                        Err(TrySendError::Full(stream))
+                    };
+                    match admitted {
                         Ok(()) => {
                             let depth = occupancy.queued.fetch_add(1, Ordering::SeqCst) + 1;
                             m.queue_depth.set(depth as f64);
@@ -278,6 +301,7 @@ fn configure_stream(stream: &TcpStream, config: &ServerConfig) {
 /// it like any other error response.
 fn refuse(mut stream: TcpStream, error: &ServeError) {
     write_counted(&mut stream, &Response::from_error(error));
+    linger_close(&mut stream);
 }
 
 /// One worker: pull connections until the queue disconnects.
@@ -294,6 +318,9 @@ fn worker_loop(
             guard.recv()
         };
         let Ok(stream) = next else { return };
+        // Raise `inflight` before lowering `queued` (see
+        // `Occupancy::occupied`).
+        m.inflight.set((occupancy.inflight.fetch_add(1, Ordering::SeqCst) + 1) as f64);
         let depth = (occupancy.queued.fetch_sub(1, Ordering::SeqCst) - 1).max(0);
         m.queue_depth.set(depth as f64);
         handle_connection(stream, occupancy, config);
@@ -302,11 +329,11 @@ fn worker_loop(
 
 /// Reads, handles, and answers one connection, absorbing every failure
 /// into a typed response (or a silent drop when the peer vanished).
+/// The connection counts as in flight until its response is written.
 fn handle_connection(mut stream: TcpStream, occupancy: &Occupancy, config: &ServerConfig) {
     let m = crate::obs::metrics();
     let started = Instant::now();
     m.requests.inc();
-    m.inflight.set((occupancy.inflight.fetch_add(1, Ordering::SeqCst) + 1) as f64);
     let response = match http::read_request(&mut stream, &config.limits) {
         Ok(request) => Some(service::handle(&request, config.request_timeout)),
         Err(ParseError::Closed) => None,
@@ -315,10 +342,15 @@ fn handle_connection(mut stream: TcpStream, occupancy: &Occupancy, config: &Serv
             Some(Response::from_error(&ingress_error(&e)))
         }
     };
-    if let Some(response) = response {
-        write_counted(&mut stream, &response);
+    if let Some(response) = &response {
+        write_counted(&mut stream, response);
     }
+    // Free the slot before the half-close: a client that reads to EOF
+    // and reconnects at once finds it free.
     m.inflight.set(((occupancy.inflight.fetch_sub(1, Ordering::SeqCst) - 1).max(0)) as f64);
+    if response.is_some() {
+        linger_close(&mut stream);
+    }
     m.request_us.observe(started.elapsed().as_secs_f64() * 1e6);
 }
 
@@ -352,11 +384,15 @@ fn write_counted(stream: &mut TcpStream, response: &Response) {
         response.content_type,
         &response.body,
     );
-    // Half-close, then briefly drain whatever the peer already sent
-    // (a shed connection's request, an oversized body). Closing with
-    // unread bytes would send an RST that can destroy the in-flight
-    // response before the peer reads it. The drain is bounded: a few
-    // short-timeout reads, then the socket drops regardless.
+}
+
+/// Half-closes a connection whose response is written, then briefly
+/// drains whatever the peer already sent (a shed connection's request,
+/// an oversized body). Closing with unread bytes would send an RST that
+/// can destroy the in-flight response before the peer reads it. The
+/// drain is bounded: a few short-timeout reads, then the socket drops
+/// regardless.
+fn linger_close(stream: &mut TcpStream) {
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let mut sink = [0u8; 4096];
