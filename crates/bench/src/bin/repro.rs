@@ -11,6 +11,9 @@
 //! fsync the active journal and exit 130/143.
 
 #![forbid(unsafe_code)]
+// Panic-freedom outside tests, as in every first-party crate.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

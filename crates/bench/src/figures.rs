@@ -1,6 +1,9 @@
 //! Figure renderers: the measured-baseline figures (2–4), the ITRS
 //! trends (5), and the projections (6–10).
 
+// An output-producing path: no wall clock, no hash-ordered containers.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use ucore_devices::{DeviceId, TechNode};
 use ucore_itrs::{Trend, TrendSeries};
 use ucore_project::{figures as proj, FigureData};

@@ -12,6 +12,7 @@
 // stay legal in `#[cfg(test)]` code only (ucore-lint enforces the same
 // contract at the token level).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 
 pub mod cli;
 pub mod experiments;

@@ -6,7 +6,7 @@ use ucore_devices::{Catalog, DeviceId};
 use ucore_itrs::Roadmap;
 use ucore_report::{Align, Table};
 use ucore_simdev::SimLab;
-use ucore_workloads::{Workload, WorkloadKind};
+use ucore_workloads::WorkloadKind;
 
 fn fmt(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
@@ -325,12 +325,6 @@ pub fn table6() -> String {
         nodes.iter().map(|n| format!("{}X", fmt(n.rel_bandwidth, 1))).collect(),
     );
     format!("Table 6: parameters assumed in technology scaling\n{t}")
-}
-
-/// Extra: Black-Scholes is not in Table 4's MMM section but needs a
-/// workload handle for exports; expose the column-to-workload mapping.
-pub fn column_workload(column: WorkloadColumn) -> Workload {
-    column.workload()
 }
 
 #[cfg(test)]

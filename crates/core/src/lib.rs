@@ -59,6 +59,7 @@
 // The model crate is panic-free by contract: every fallible path returns
 // a typed ModelError. Keep it that way.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 
 pub mod bounds;
 pub mod budget;

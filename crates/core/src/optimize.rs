@@ -195,10 +195,10 @@ impl Optimizer {
             // Use every BCE the tightest bound permits, but never fewer
             // than the sequential core itself occupies.
             let n = bounds.n_max().max(r);
-            // Designs with no parallel resources cannot run parallel work,
-            // and `evaluate` rejects an `n` past the bound's slack (an `r`
-            // just above `n_max`).
-            if (f.get() > 0.0 && spec.parallel_perf(n, r) <= 0.0) || n > bounds.n_max() + 1e-9 {
+            // `evaluate` rejects an `n` past the bound's slack (an `r` just
+            // above `n_max`). A design with no parallel resources needs no
+            // check here: `speedup` rejects it for every chip kind.
+            if n > bounds.n_max() + 1e-9 {
                 continue;
             }
             let Ok(speedup) = spec.speedup(f, n, r) else {

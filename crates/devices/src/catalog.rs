@@ -147,7 +147,11 @@ impl Catalog {
     pub fn device(&self, id: DeviceId) -> &Device {
         match self.try_device(id) {
             Ok(device) => device,
-            // ucore-lint: allow(panic-reachability): documented panicking accessor; the infallible paper catalog is total over DeviceId and `try_device` is the typed-error alternative
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking accessor; the infallible paper catalog is total \
+                          over DeviceId and `try_device` is the typed-error alternative"
+            )]
             Err(e) => panic!("{e}"),
         }
     }

@@ -22,9 +22,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Panic-freedom: model code returns typed errors; `unwrap`/`expect`
-// stay legal in `#[cfg(test)]` code only (ucore-lint enforces the same
-// contract at the token level).
+// and the panicking macros stay legal in `#[cfg(test)]` code only.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 
 pub mod bce;
 pub mod catalog;

@@ -43,8 +43,6 @@ pub struct FnNode {
     pub module: Vec<String>,
     /// Enclosing `impl` type name, when the fn is an associated item.
     pub impl_type: Option<String>,
-    /// True for `pub`/`pub(crate)`/… visibility.
-    pub is_pub: bool,
     /// True when the definition sits inside `#[cfg(test)]` code.
     pub in_test: bool,
     /// Calls, macro invocations, and method calls inside the body.
@@ -149,27 +147,6 @@ impl SymbolGraph {
     /// All definitions with the fully qualified path `path`.
     pub fn fns_qualified(&self, path: &str) -> &[usize] {
         self.by_qualified.get(path).map_or(&[], Vec::as_slice)
-    }
-
-    /// The node that contains token `token` of file `file`, if any.
-    pub fn enclosing_fn(&self, file: usize, token: usize) -> Option<usize> {
-        // Bodies nest; the innermost (last-starting) match wins.
-        let mut best: Option<usize> = None;
-        for (id, node) in self.fns.iter().enumerate() {
-            if node.file != file {
-                continue;
-            }
-            let holds = node
-                .calls
-                .iter()
-                .map(|c| c.site.token)
-                .chain(node.index_sites.iter().map(|s| s.token))
-                .any(|t| t == token);
-            if holds {
-                best = Some(id);
-            }
-        }
-        best
     }
 
     /// Resolves an identifier used as a *value* (e.g. a handler passed to
@@ -461,7 +438,6 @@ fn index_file(graph: &mut SymbolGraph, file_idx: usize, ctx: &FileContext<'_>) -
                             col: toks[ni].col,
                             module,
                             impl_type,
-                            is_pub: has_pub_before(ctx, i),
                             in_test: ctx.in_test[ni],
                             calls: Vec::new(),
                             index_sites: Vec::new(),
@@ -586,7 +562,7 @@ fn record_call_or_skip(
 
 /// True when the `[` at token `i` indexes an expression (follows an
 /// ident, `)`, or `]`) rather than opening an array/attribute.
-pub(crate) fn is_index_open(ctx: &FileContext<'_>, i: usize) -> bool {
+fn is_index_open(ctx: &FileContext<'_>, i: usize) -> bool {
     let Some(p) = ctx.prev_code(i) else { return false };
     let t = &ctx.tokens[p];
     match t.kind {
@@ -594,26 +570,6 @@ pub(crate) fn is_index_open(ctx: &FileContext<'_>, i: usize) -> bool {
         TokenKind::Punct => t.text == ")" || t.text == "]",
         _ => false,
     }
-}
-
-/// True when a visibility modifier precedes the `fn` keyword at `i`.
-fn has_pub_before(ctx: &FileContext<'_>, i: usize) -> bool {
-    // Walk back across `const`/`async`/`unsafe`/`extern "C"` qualifiers.
-    let mut at = i;
-    for _ in 0..8 {
-        let Some(p) = ctx.prev_code(at) else { return false };
-        let t = &ctx.tokens[p];
-        match (t.kind, t.text) {
-            (TokenKind::Ident, "pub") => return true,
-            (TokenKind::Ident, "const" | "async" | "unsafe" | "extern")
-            | (TokenKind::Str, _)
-            | (TokenKind::Punct, ")") => at = p,
-            (TokenKind::Punct, "(") => at = p,
-            (TokenKind::Ident, "crate" | "super" | "self") => at = p,
-            _ => return false,
-        }
-    }
-    false
 }
 
 /// Finds the body-opening `{` of the fn whose name token is `ni`;

@@ -2,13 +2,13 @@
 //!
 //! The analytical model's correctness rests on invariants `rustc` and
 //! `clippy` cannot see: BCE-relative quantities must not be mixed as
-//! raw `f64`s, sweep/figure output must be byte-deterministic, signal
-//! handlers must stay async-signal-safe, and the metric/error/flag
-//! names the docs promise must match what the code registers. This
-//! crate enforces them with a hand-rolled total lexer ([`lexer`])
-//! feeding token-level rules ([`rules`]) and a workspace symbol graph
-//! ([`graph`]) feeding interprocedural rules — runnable locally and in
-//! CI as `cargo run -p ucore-lint`.
+//! raw `f64`s, signal handlers must stay async-signal-safe, blocking
+//! calls must not run under a live lock guard, and the
+//! metric/error/flag names the docs promise must match what the code
+//! registers. This crate enforces them with a hand-rolled total lexer
+//! ([`lexer`]) feeding token-level rules ([`rules`]) and a workspace
+//! symbol graph ([`graph`]) feeding interprocedural rules — runnable
+//! locally and in CI as `cargo run -p ucore-lint`.
 //!
 //! ## File rules (one file at a time)
 //!
@@ -16,18 +16,11 @@
 //! |---|---|
 //! | `float-eq` | no `==`/`!=` on float-typed expressions |
 //! | `raw-f64-api` | no bare-`f64` dimensioned params on `pub fn` in core/devices/itrs |
-//! | `determinism` | no wall-clock or `HashMap`/`HashSet` in output-producing paths |
-//!
-//! `// SAFETY:` comments, `# Safety` docs and `# Errors` docs are
-//! checked by clippy instead (`undocumented_unsafe_blocks`,
-//! `missing_safety_doc`, `missing_errors_doc`; see the root
-//! `Cargo.toml` and `clippy.toml`).
 //!
 //! ## Workspace rules (whole-workspace symbol graph)
 //!
 //! | rule | enforces |
 //! |---|---|
-//! | `panic-reachability` | no `unwrap`/`expect`/`panic!` (+ slice indexing in `serve`) outside tests, with caller evidence chains |
 //! | `signal-safety` | only allowlisted async-signal-safe calls reachable from `signal(2)` handlers |
 //! | `lock-discipline` | no blocking call (fsync, channel send/recv, spawn, socket I/O) under a live lock guard |
 //! | `contract-drift` | DESIGN.md/README contract tables match the code's metrics, error codes, and CLI flags |
@@ -35,6 +28,15 @@
 //! Plus two synthetic rules the engine itself emits: `suppression`
 //! (malformed/unreasoned allows) and `unused-suppression` (stale
 //! allows). See DESIGN.md §13 and §18 for the full contract.
+//!
+//! Clippy checks the rest (see the root `Cargo.toml`, `clippy.toml`
+//! and each crate root): `// SAFETY:` comments and `# Safety`/`# Errors`
+//! docs (`undocumented_unsafe_blocks`, `missing_safety_doc`,
+//! `missing_errors_doc`); panics outside tests (`unwrap_used`,
+//! `expect_used`, `panic`, `todo`, `unimplemented`, plus
+//! `indexing_slicing` in `ucore-serve`); and wall-clock reads and
+//! hash-ordered containers on output paths (`disallowed_methods`,
+//! `disallowed_types`).
 //!
 //! ## Suppression
 //!
@@ -49,6 +51,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic-freedom outside tests, as in every first-party crate.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 
 pub mod context;
 pub mod contracts;
@@ -85,21 +90,6 @@ pub struct WorkspaceContext<'a> {
     pub graph: &'a SymbolGraph,
     /// Contract documents (may be absent in fixture runs).
     pub docs: &'a Docs,
-    /// Parallel to `files`: each file's parsed suppressions.
-    pub suppressions: &'a [Vec<Suppression>],
-}
-
-impl WorkspaceContext<'_> {
-    /// True when a suppression of `rule` targets `line` of `files[file]`.
-    ///
-    /// Rules that *propagate* facts (panic reachability) consult this so
-    /// a vetted source does not taint its callers; they still emit the
-    /// site finding so the engine can mark the suppression used.
-    pub fn is_suppressed(&self, rule: &str, file: usize, line: u32) -> bool {
-        self.suppressions
-            .get(file)
-            .is_some_and(|sups| sups.iter().any(|s| s.rule == rule && s.target_line == line))
-    }
 }
 
 /// Lints one file's source text with file-scope `rules`, applying
@@ -158,7 +148,7 @@ pub fn lint_files(
     }
     if !ws_rules.is_empty() {
         let graph = SymbolGraph::build(&ctxs);
-        let ws = WorkspaceContext { files: &ctxs, graph: &graph, docs, suppressions: &sups };
+        let ws = WorkspaceContext { files: &ctxs, graph: &graph, docs };
         for rule in ws_rules {
             rule.check(&ws, &mut raw);
         }
@@ -230,14 +220,14 @@ mod tests {
     fn lint_files_runs_workspace_rules_with_suppressions() {
         let files = vec![(
             "crates/core/src/x.rs".to_string(),
-            "pub fn f() { g.unwrap(); }\n\
-             pub fn ok() { h.unwrap(); } // ucore-lint: allow(panic-reachability): engine test\n"
+            "fn f(m: &Mutex<F>) { let g = m.lock(); g.sync_all(); }\n\
+             fn ok(m: &Mutex<F>) { let g = m.lock(); g.sync_all(); } // ucore-lint: allow(lock-discipline): test\n"
                 .to_string(),
         )];
         let out =
             lint_files(&files, &Docs::default(), &rules::all(), &rules::workspace_all(), true);
-        assert_eq!(out.len(), 1, "only the unsuppressed unwrap remains: {out:?}");
-        assert_eq!(out[0].rule, "panic-reachability");
+        assert_eq!(out.len(), 1, "only the unsuppressed fsync remains: {out:?}");
+        assert_eq!(out[0].rule, "lock-discipline");
         assert_eq!(out[0].line, 1);
     }
 }

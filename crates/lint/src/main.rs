@@ -12,6 +12,9 @@
 //! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
 
 #![forbid(unsafe_code)]
+// Panic-freedom outside tests, as in every first-party crate.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -15,14 +15,12 @@
 //!
 //! Rules must be *total*: they run on hostile input (the lexer already
 //! guarantees tokens for arbitrary bytes, the graph degrades to
-//! unresolved calls) and must never panic — the lint binary itself is
-//! linted by its own `panic-reachability` rule.
+//! unresolved calls) and must never panic — clippy's panic and
+//! `unwrap`/`expect` bans cover the lint crate like every other.
 
 mod contract_drift;
-mod determinism;
 mod float_eq;
 mod lock_discipline;
-mod panic_reach;
 mod raw_f64_api;
 mod signal_safety;
 
@@ -55,7 +53,6 @@ pub trait WorkspaceRule {
 /// All file rules, in registry order.
 pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(determinism::Determinism),
         Box::new(float_eq::FloatEq),
         Box::new(raw_f64_api::RawF64Api),
     ]
@@ -66,7 +63,6 @@ pub fn workspace_all() -> Vec<Box<dyn WorkspaceRule>> {
     vec![
         Box::new(contract_drift::ContractDrift),
         Box::new(lock_discipline::LockDiscipline),
-        Box::new(panic_reach::PanicReachability),
         Box::new(signal_safety::SignalSafety),
     ]
 }

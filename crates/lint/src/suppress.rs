@@ -164,7 +164,7 @@ pub fn apply(
 mod tests {
     use super::*;
 
-    const RULES: [&str; 2] = ["float-eq", "panic-reachability"];
+    const RULES: [&str; 2] = ["float-eq", "lock-discipline"];
 
     fn parse(src: &str) -> (Vec<Suppression>, Vec<Diagnostic>) {
         let ctx = FileContext::new("x.rs", src);
@@ -203,11 +203,14 @@ mod tests {
 
     #[test]
     fn unknown_rule_is_a_finding() {
-        // `unsafe-audit` was retired to clippy; a leftover allow of it is
-        // unknown to the real registry.
+        // `unsafe-audit`, `panic-reachability` and `determinism` were
+        // retired to clippy; a leftover allow of one is unknown to the
+        // real registry.
         for src in [
             "// ucore-lint: allow(no-such-rule): because\nlet x = 1;\n",
             "// ucore-lint: allow(unsafe-audit): retired rule\nlet x = 1;\n",
+            "// ucore-lint: allow(panic-reachability): retired rule\nlet x = 1;\n",
+            "// ucore-lint: allow(determinism): retired rule\nlet x = 1;\n",
         ] {
             let ctx = FileContext::new("x.rs", src);
             let mut bad = Vec::new();
@@ -248,9 +251,9 @@ mod tests {
     #[test]
     fn block_comment_form_works() {
         let (sup, bad) =
-            parse("/* ucore-lint: allow(panic-reachability): proven reachable-only-in-tests */\nfoo.unwrap();\n");
+            parse("/* ucore-lint: allow(lock-discipline): the guard only parks idle workers */\nrx.recv();\n");
         assert!(bad.is_empty());
         assert_eq!(sup.len(), 1);
-        assert_eq!(sup[0].rule, "panic-reachability");
+        assert_eq!(sup[0].rule, "lock-discipline");
     }
 }

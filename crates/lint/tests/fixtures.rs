@@ -35,33 +35,6 @@ fn float_eq_corpus() {
 }
 
 #[test]
-fn determinism_corpus() {
-    // The pseudo-path places the fixture on an output path (results.rs).
-    assert_eq!(
-        findings(
-            "crates/project/src/results.rs",
-            include_str!("fixtures/determinism/bad.rs"),
-        ),
-        vec![
-            (3, "determinism"),  // the HashMap import
-            (8, "determinism"),  // Instant::now
-            (9, "determinism"),  // SystemTime::now
-            (10, "determinism"), // HashMap type annotation …
-            (10, "determinism"), // … and HashMap::new
-        ],
-    );
-    assert_clean(
-        "crates/project/src/results.rs",
-        include_str!("fixtures/determinism/good.rs"),
-    );
-    // Off the output paths, the identical source is not in scope.
-    assert_clean(
-        "crates/project/src/durability.rs",
-        include_str!("fixtures/determinism/bad.rs"),
-    );
-}
-
-#[test]
 fn raw_f64_api_corpus() {
     assert_eq!(
         findings(

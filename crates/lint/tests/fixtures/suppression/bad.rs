@@ -13,7 +13,7 @@ pub fn unknown_rule(x: f64) -> bool {
 }
 
 /// A stale allow with nothing underneath to suppress.
-// ucore-lint: allow(determinism): stale — nothing below reads the clock
+// ucore-lint: allow(float-eq): stale — nothing below compares floats
 pub fn stale() -> u32 {
     7
 }

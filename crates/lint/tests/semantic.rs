@@ -30,47 +30,6 @@ fn assert_clean(files: &[(&str, &str)], docs: &Docs) {
 }
 
 #[test]
-fn panic_reach_corpus() {
-    let files = [("crates/core/src/fixture.rs", include_str!("fixtures/panic_reach/bad.rs"))];
-    assert_eq!(
-        findings(&files, &Docs::default()),
-        vec![
-            (5, "panic-reachability"),  // unwrap
-            (6, "panic-reachability"),  // expect
-            (8, "panic-reachability"),  // panic!
-            (11, "panic-reachability"), // todo!
-            (13, "panic-reachability"), // unimplemented!
-        ],
-    );
-    assert_clean(
-        &[("crates/core/src/fixture.rs", include_str!("fixtures/panic_reach/good.rs"))],
-        &Docs::default(),
-    );
-}
-
-#[test]
-fn panic_reach_evidence_chain_crosses_files() {
-    // The panic lives in a private helper in one file; the chain names
-    // the pub entry point from the other.
-    let entry = "/// Entry.\npub fn entry() { ucore_core::inner::helper(); }\n";
-    let helper = "fn helper() { deep() }\nfn deep() { panic!(\"boom\") }\n";
-    let out = run(
-        &[
-            ("crates/bench/src/lib.rs", entry),
-            ("crates/core/src/inner.rs", helper),
-        ],
-        &Docs::default(),
-    );
-    assert_eq!(out.len(), 1, "{out:?}");
-    assert!(
-        out[0].message.contains("reachable from pub fn `ucore_bench::entry`"),
-        "{}",
-        out[0].message
-    );
-    assert!(out[0].message.contains("entry → helper → deep"), "{}", out[0].message);
-}
-
-#[test]
 fn lock_discipline_corpus() {
     let files =
         [("crates/core/src/fixture.rs", include_str!("fixtures/lock_discipline/bad.rs"))];
@@ -163,11 +122,11 @@ fn contract_drift_clean_when_docs_match() {
 fn suppressed_workspace_findings_need_reasons_and_stay_used() {
     // A reasoned allow drops the finding and is not reported unused; an
     // unreasoned one is itself a finding and suppresses nothing.
-    let src = "pub fn a() { x.unwrap() } // ucore-lint: allow(panic-reachability): fixture-vetted\n\
-               // ucore-lint: allow(panic-reachability)\n\
-               pub fn b() { y.unwrap() }\n";
+    let src = "fn a(m: &Mutex<F>) { let g = m.lock(); g.sync_all() } // ucore-lint: allow(lock-discipline): vetted\n\
+               // ucore-lint: allow(lock-discipline)\n\
+               fn b(m: &Mutex<F>) { let g = m.lock(); g.sync_all() }\n";
     assert_eq!(
         findings(&[("crates/core/src/fixture.rs", src)], &Docs::default()),
-        vec![(2, "suppression"), (3, "panic-reachability")],
+        vec![(2, "suppression"), (3, "lock-discipline")],
     );
 }

@@ -7,8 +7,8 @@
 //! monotonic, and has no wall-clock nondeterminism. The **wall-clock
 //! nanoseconds** are real elapsed time since the first read in the
 //! process; they are what makes a profile *mean* anything, and they are
-//! confined to this module so the `ucore-lint` determinism rule has
-//! exactly one reasoned suppression site to audit: wall time read here
+//! confined to this module so the crate's clippy wall-clock ban has
+//! exactly one reasoned `#[expect]` site to audit: wall time read here
 //! flows only into span events and timing-suffixed metrics
 //! ([`is_timing_metric`](crate::metrics::is_timing_metric)), never into
 //! figure output bytes.
@@ -33,9 +33,16 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// payload exclusively — span timestamps and `_ns`/`_us`/`_ms` metric
 /// observations — and are filtered out of every golden comparison.
 pub fn wall_ns() -> u64 {
-    // ucore-lint: allow(determinism): this is the one sanctioned wall-clock channel; values feed span events and timing metrics only, never serialized figure output
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this is the one sanctioned wall-clock channel; values feed span events and \
+                  timing metrics only, never serialized figure output"
+    )]
     let epoch = *EPOCH.get_or_init(Instant::now);
-    // ucore-lint: allow(determinism): same observability-only channel as the epoch read above
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "same observability-only channel as the epoch read above"
+    )]
     let now = Instant::now();
     now.saturating_duration_since(epoch).as_nanos() as u64
 }

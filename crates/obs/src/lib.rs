@@ -14,8 +14,8 @@
 //!   [`MetricsSnapshot`] renders it in `BTreeMap` order with exact
 //!   shortest-roundtrip `f64` formatting.
 //! * **Observability-only wall time** — the *only* wall-clock reads in
-//!   the crate live in [`clock`], behind a reasoned `ucore-lint`
-//!   suppression. Wall-clock values flow exclusively into span events
+//!   the crate live in [`clock`], behind a reasoned
+//!   `#[expect(clippy::disallowed_methods)]`. Wall-clock values flow exclusively into span events
 //!   and timing histograms, never into output bytes.
 //!
 //! [`trace`] provides the `span!` guard API: enter/exit events keyed by
@@ -37,8 +37,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Observability must never take a run down: no unwraps on this path.
+// Observability must never take a run down: no panics on this path.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+// Snapshots and traces are diffed byte-for-byte in golden tests: no wall
+// clock (outside `clock::wall_ns`), no hash-ordered containers.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod clock;
 pub mod metrics;

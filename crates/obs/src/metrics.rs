@@ -5,9 +5,8 @@
 //! instruments that call sites clone out of the registry once; the
 //! registry lock is touched only at registration and snapshot time.
 //! A [`MetricsSnapshot`] is `BTreeMap`-ordered, so rendering it is
-//! deterministic by construction (this file is in scope for the
-//! `ucore-lint` determinism rule, which bans hash-ordered containers
-//! here).
+//! deterministic by construction (the crate root denies clippy's
+//! `disallowed_types`, which bans hash-ordered containers here).
 //!
 //! # Determinism contract
 //!

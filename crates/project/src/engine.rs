@@ -29,7 +29,6 @@ use ucore_core::{
 };
 use ucore_devices::DeviceId;
 use ucore_itrs::NodeParams;
-use ucore_workloads::WorkloadKind;
 
 /// Errors raised while projecting.
 #[derive(Debug, Clone, PartialEq)]
@@ -554,15 +553,6 @@ fn split_point(
         .zip(&alloc.areas)
         .any(|(seg, &a)| seg.max_area().is_some_and(|cap| a >= cap));
     Some((alloc.speedup.get(), used, power_bound))
-}
-
-/// The workload kinds the projections cover, with their columns.
-pub fn projection_columns() -> [(WorkloadKind, WorkloadColumn); 3] {
-    [
-        (WorkloadKind::Fft, WorkloadColumn::Fft1024),
-        (WorkloadKind::Mmm, WorkloadColumn::Mmm),
-        (WorkloadKind::BlackScholes, WorkloadColumn::Bs),
-    ]
 }
 
 #[cfg(test)]

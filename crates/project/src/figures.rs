@@ -8,6 +8,9 @@
 //! figures — e.g. the baseline FFT grid appearing in both Figure 6 and
 //! the scenario studies — are optimized only once per process.
 
+// An output-producing path: no wall clock, no hash-ordered containers.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use crate::engine::{DesignId, ProjectionEngine, ProjectionError};
 use crate::results::{FailureRecord, FigureData, Metric, Panel, Series, SweepHealth};
 use crate::scenario::Scenario;

@@ -43,6 +43,9 @@
 //! run's — the round trip is exact by construction, not by the grace of
 //! a formatter.
 
+// An output-producing path: no wall clock, no hash-ordered containers.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use crate::engine::{DesignId, PortfolioDesign};
 use crate::results::NodePoint;
 use crate::sweep::{Outcome, SweepPoint};

@@ -76,6 +76,7 @@
 // ProjectionError taxonomy, never abort the process. The few remaining
 // intentional sites carry a local #[expect] with its reason.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 
 pub mod contain;
 pub mod crossover;

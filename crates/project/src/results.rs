@@ -1,5 +1,8 @@
 //! Serializable projection results.
 
+// An output-producing path: no wall clock, no hash-ordered containers.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use serde::Serialize;
 use ucore_core::Limiter;
 use ucore_devices::TechNode;

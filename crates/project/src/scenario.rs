@@ -111,7 +111,6 @@ impl Scenario {
                   SerialPowerLaw accepts; there is no caller-supplied path to this expect"
     )]
     pub fn power_law(&self) -> SerialPowerLaw {
-        // ucore-lint: allow(panic-reachability): alphas come only from this module's private constants, all of which SerialPowerLaw accepts
         SerialPowerLaw::new(self.alpha).expect("scenario alphas are valid")
     }
 
@@ -123,12 +122,6 @@ impl Scenario {
     /// A copy with a custom roadmap (for ablations).
     pub fn with_roadmap(mut self, roadmap: Roadmap) -> Self {
         self.roadmap = roadmap;
-        self
-    }
-
-    /// A copy with a custom `r` sweep limit (for ablations).
-    pub fn with_r_max(mut self, r_max: f64) -> Self {
-        self.r_max = r_max;
         self
     }
 }

@@ -32,6 +32,9 @@
 //! exactly — the property the shard CLI tests pin at shard counts
 //! 1, 2, 4 and 8, under injected whole-worker kills and stalls.
 
+// An output-producing path: no wall clock, no hash-ordered containers.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use crate::durability;
 use crate::journal::{self, JournalError, JournalRecord};
 use std::collections::BTreeMap;
@@ -395,8 +398,12 @@ pub fn shard_log_path(merged: &Path, shard: usize) -> PathBuf {
 /// The single scheduling clock behind spawn backoff and stall
 /// detection: it decides only *when* workers run or die, never what
 /// the merged journal or the figure bytes contain.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "orchestration scheduling clock; worker spawn/kill timing never reaches journal \
+              records or output bytes"
+)]
 fn sched_now() -> Instant {
-    // ucore-lint: allow(determinism): orchestration scheduling clock; worker spawn/kill timing never reaches journal records or output bytes
     Instant::now()
 }
 

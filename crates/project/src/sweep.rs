@@ -51,6 +51,9 @@
 //! adapter the figures use: it reads the process slot that
 //! [`durability::activate`] fills and the thread's request deadline.
 
+// An output-producing path: no wall clock, no hash-ordered containers.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use crate::contain::contain;
 use crate::durability::{self, Deadline, RunContext};
 use crate::engine::{DesignId, ProjectionEngine};
@@ -320,7 +323,11 @@ fn run_sweep(
         lease: ctx.shard.map(|spec| spec.lease(points.len())),
     };
     let cache_before = engine.cache().stats();
-    // ucore-lint: allow(determinism): wall-clock feeds only the SweepStats elapsed field, which is observability metadata excluded from output bytes
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock feeds only the SweepStats elapsed field, which is observability \
+                  metadata excluded from output bytes"
+    )]
     let start = Instant::now();
 
     let resolutions: Vec<PointResolution> = points
@@ -557,8 +564,11 @@ impl SweepRun<'_> {
             Some(Fault::Panic) | None => {}
         }
         let caught = contain(|| {
+            #[expect(
+                clippy::panic,
+                reason = "deliberate fault injection exercising the containment boundary that catches it"
+            )]
             if matches!(fault, Some(Fault::Panic)) {
-                // ucore-lint: allow(panic-reachability): deliberate fault injection exercising the containment boundary that catches it
                 panic!("injected panic at point {index}");
             }
             match self.deadline {
@@ -584,7 +594,11 @@ const UNWATCHED_STALL_CAP: Duration = Duration::from_secs(30);
 /// `--timeout-ms` budget expires and releases it as a deterministic
 /// `Failed{timeout}`.
 fn stalled_point(index: usize, timeout: Option<Duration>) -> Outcome {
-    // ucore-lint: allow(determinism): the injected stall's clock decides only *when* the deterministic timeout message is released, never its bytes
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the injected stall's clock decides only *when* the deterministic timeout \
+                  message is released, never its bytes"
+    )]
     let started = Instant::now();
     loop {
         match timeout {

@@ -13,9 +13,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Panic-freedom: model code returns typed errors; `unwrap`/`expect`
-// stay legal in `#[cfg(test)]` code only (ucore-lint enforces the same
-// contract at the token level).
+// and the panicking macros stay legal in `#[cfg(test)]` code only.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+// Every renderer produces output bytes: no wall clock, no hash-ordered containers.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod chart;
 pub mod csv;

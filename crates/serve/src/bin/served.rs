@@ -20,6 +20,10 @@
 //! stays on the thread that armed it.
 
 #![forbid(unsafe_code)]
+// Panic-freedom outside tests, as in every first-party crate.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::process::ExitCode;
 use std::time::Duration;

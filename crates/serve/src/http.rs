@@ -103,7 +103,11 @@ pub fn read_request(stream: &mut impl Read, limits: &Limits) -> Result<Request, 
         body.truncate(content_length);
         let filled = body.len();
         body.resize(content_length, 0);
-        // ucore-lint: allow(panic-reachability): in bounds — `filled` is body.len() before the resize to content_length, and truncate capped it at content_length
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "in bounds — `filled` is body.len() before the resize to content_length, \
+                      and truncate capped it at content_length"
+        )]
         read_exact_classified(stream, &mut body[filled..])?;
         request.body = body;
     }
@@ -150,7 +154,10 @@ fn read_head(
             Ok(n) => n,
             Err(e) => return Err(classify_io(&e)),
         };
-        // ucore-lint: allow(panic-reachability): in bounds — `n` is the return of Read::read on `chunk`, so n <= chunk.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "in bounds — `n` is the return of Read::read on `chunk`, so n <= chunk.len()"
+        )]
         buf.extend_from_slice(&chunk[..n]);
     }
 }
@@ -188,7 +195,11 @@ fn classify_io(e: &io::Error) -> ParseError {
 fn read_exact_classified(stream: &mut impl Read, buf: &mut [u8]) -> Result<(), ParseError> {
     let mut filled = 0usize;
     while filled < buf.len() {
-        // ucore-lint: allow(panic-reachability): in bounds — the `filled < buf.len()` loop guard keeps the range start inside the buffer
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "in bounds — the `filled < buf.len()` loop guard keeps the range start \
+                      inside the buffer"
+        )]
         match stream.read(&mut buf[filled..]) {
             Ok(0) => {
                 return Err(ParseError::malformed(

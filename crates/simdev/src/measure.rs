@@ -91,11 +91,6 @@ impl SimLab {
         SimLab { honor_paper_gaps: false, probe_noise: 0.01 }
     }
 
-    /// Whether the paper's measurement gaps are preserved.
-    pub fn honors_paper_gaps(&self) -> bool {
-        self.honor_paper_gaps
-    }
-
     /// The underlying observables for a (device, workload) cell.
     fn observables(
         &self,

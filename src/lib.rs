@@ -51,6 +51,10 @@
 //! # }
 //! ```
 
+// Panic-freedom outside tests, as in every first-party crate.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 pub mod error;
 
 pub use error::UcoreError;
