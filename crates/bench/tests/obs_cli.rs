@@ -179,21 +179,33 @@ fn metrics_exposition_matches_golden() {
     );
     assert_eq!(strip_timing_families(&exposition), FIGURE6_METRICS_GOLDEN);
 
-    // Journaled, every fsync counts: one per `SYNC_BATCH` (16) of the
-    // 120 appends, plus the sweep-final one.
+    // Journaled, every fsync counts: one per full `SYNC_BATCH` of the
+    // 120 appends, plus the sweep-final one when records are left over.
+    // A clean journal is never fsync'd again (guard and writer drop).
     let journal = scratch("golden-j.jsonl");
-    let out = repro(&[
-        "--journal", journal.to_str().unwrap(),
-        "--json", "figure-6",
-        "--metrics", path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success());
-    let exposition = std::fs::read_to_string(&path).expect("metrics file written");
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&journal);
+    let journaled = |resume: bool| {
+        let mut args = vec!["--journal", journal.to_str().unwrap()];
+        if resume {
+            args.push("--resume");
+        }
+        args.extend(["--json", "figure-6", "--metrics", path.to_str().unwrap()]);
+        let out = repro(&args);
+        assert!(out.status.success());
+        let exposition = std::fs::read_to_string(&path).expect("metrics file written");
+        let _ = std::fs::remove_file(&path);
+        (out.stdout, exposition)
+    };
+    let (first, exposition) = journaled(false);
     assert_eq!(sample(&exposition, "ucore_journal_appends"), Some(120), "{exposition}");
-    let syncs = sample(&exposition, "ucore_journal_syncs").expect("syncs sample");
-    assert!(syncs >= 8, "7 batch fsyncs + 1 sweep-final fsync, got {syncs}");
+    let syncs = 120usize.div_ceil(ucore_project::journal::SYNC_BATCH) as u64;
+    assert_eq!(sample(&exposition, "ucore_journal_syncs"), Some(syncs), "{exposition}");
+
+    // Resuming the complete journal appends nothing, so it fsyncs nothing.
+    let (resumed, exposition) = journaled(true);
+    let _ = std::fs::remove_file(&journal);
+    assert_eq!(sample(&exposition, "ucore_journal_appends"), Some(0), "{exposition}");
+    assert_eq!(sample(&exposition, "ucore_journal_syncs"), Some(0), "{exposition}");
+    assert_eq!(resumed, first, "a resumed run's stdout is byte-identical");
 }
 
 /// Prints the golden above from the current build. Run with

@@ -4,10 +4,14 @@
 //! [`Outcome`]s. This module makes that stream *crash-only*: every
 //! completed point is appended to a run journal as one self-framing,
 //! CRC-checked line, flushed to the OS immediately and fsync'd in
-//! batches of [`SYNC_BATCH`]. A process killed mid-run — `kill -9`, an
-//! OOM kill, a power cut — leaves a journal whose every complete line
-//! is trustworthy and whose final line is at worst *torn* (a partial
-//! write with no trailing newline). [`replay`] tolerates exactly that:
+//! batches of [`SYNC_BATCH`]. A crashed *process* — `kill -9`, an OOM
+//! kill, a panic — loses nothing, since every line is in the page cache
+//! once its `write(2)` returns. A crashed *machine* — a power cut, a
+//! kernel panic — loses at most the `SYNC_BATCH - 1` records since the
+//! last fsync, and resume re-evaluates each of them. Either way the
+//! journal's every complete line is trustworthy and its final line is
+//! at worst *torn* (a partial write with no trailing newline).
+//! [`replay`] tolerates exactly that:
 //! it restores every intact record and skips a torn tail with a
 //! warning, never an error, while mid-file corruption (which a crash
 //! cannot produce) stays a hard [`JournalError::Corrupt`].
@@ -64,9 +68,16 @@ pub const JOURNAL_VERSION: &str = "u1";
 
 /// Appends between fsyncs: the journal is flushed to the OS on every
 /// append (so a process crash loses nothing that was appended) and
-/// fsync'd every `SYNC_BATCH` records (bounding what a *machine* crash
-/// can lose) plus once at the end of every sweep.
-pub const SYNC_BATCH: usize = 16;
+/// fsync'd every `SYNC_BATCH` records plus once at the end of every
+/// sweep that appended something.
+///
+/// The batch bounds what a *machine* crash loses to `SYNC_BATCH - 1`
+/// records. A lost record costs only its re-evaluation on resume (a
+/// microsecond or two), while an fsync costs tens to hundreds of
+/// microseconds, so the batch is large. It must stay at most 2,048:
+/// perfbench prices one fsync by re-appending 4 × 512 records through
+/// a fresh writer, and needs a batch fsync among them.
+pub const SYNC_BATCH: usize = 1024;
 
 // ---------------------------------------------------------------------
 // Hashes
@@ -521,7 +532,8 @@ pub fn decode_record(line_text: &str, line: usize) -> Result<JournalRecord, Jour
 /// `write` syscall (no userspace buffering — a crashed *process* loses
 /// nothing already appended) and the file is fsync'd every
 /// [`SYNC_BATCH`] appends plus on [`sync`](JournalWriter::sync) and
-/// drop (bounding what a crashed *machine* loses).
+/// drop (bounding what a crashed *machine* loses). A writer with no
+/// unsynced appends is clean: `sync` and drop then issue no fsync.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
@@ -587,14 +599,18 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// Forces an fsync of everything appended so far. Every journal
-    /// fsync goes through here, and each one that succeeds counts
-    /// toward the `journal.syncs` metric.
+    /// Fsyncs everything appended since the last fsync; a clean writer
+    /// returns at once. Every journal fsync but the drop's and the
+    /// signal handler's goes through here, and each one that succeeds
+    /// counts toward the `journal.syncs` metric.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn sync(&mut self) -> Result<(), JournalError> {
+        if self.unsynced == 0 {
+            return Ok(());
+        }
         self.file.sync_data()?;
         self.unsynced = 0;
         crate::obs::metrics().journal_syncs.inc();
@@ -624,7 +640,9 @@ impl JournalWriter {
 
 impl Drop for JournalWriter {
     fn drop(&mut self) {
-        let _ = self.file.sync_data();
+        if self.unsynced > 0 {
+            let _ = self.file.sync_data();
+        }
     }
 }
 

@@ -17,7 +17,7 @@
 //! | `journal.hits`      | counter   | points answered from a replayed journal    |
 //! | `journal.stale`     | counter   | journaled records with a stale fingerprint |
 //! | `journal.appends`   | counter   | records appended to the run journal        |
-//! | `journal.syncs`     | counter   | successful journal fsyncs (every `SYNC_BATCH` appends, each sweep's end, shutdown) |
+//! | `journal.syncs`     | counter   | successful journal fsyncs (every `SYNC_BATCH` appends, each sweep's end, shutdown), only when records are unsynced |
 //! | `journal.write_errors` | counter | append failures (journaling degraded)     |
 //! | `failures.retained` | counter   | diagnostics kept in the bounded log        |
 //! | `failures.dropped`  | counter   | diagnostics dropped beyond the cap         |
