@@ -18,15 +18,21 @@
 //! [`EvalCache`] stores full `Result` values: infeasible points are
 //! memoized too, which matters because the projection sweeps probe many
 //! infeasible `(design, node)` cells under the tight §6.2 budgets.
+//!
+//! Keys are built by this program from model inputs, never read from
+//! outside it, so the map hashes them with `KeyHasher`, a fixed
+//! multiply-rotate fold over the key's words, instead of SipHash: a
+//! lookup is a few multiplies, and since the map is never iterated its
+//! bucket order cannot reach any output.
 
 use crate::budget::Budgets;
 use crate::chip::{ChipKind, ChipSpec};
 use crate::error::ModelError;
 use crate::optimize::{OptimalDesign, Optimizer};
 use crate::units::ParallelFraction;
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use ucore_obs::{Counter, Gauge};
 
 /// An `f64` reduced to hashable canonical bits.
@@ -159,12 +165,70 @@ impl CacheStats {
     }
 }
 
+/// The [`EvalCache`] map's hasher: a multiply-rotate fold over the
+/// key's `u64` words (each `F64Key`, the kind tag and the budget array's
+/// length), finished by murmur3's `fmix64`.
+///
+/// A product's low bits depend only on its factors' low bits, which
+/// round-number budgets leave mostly zero, and hashbrown picks buckets
+/// from the low bits: the rotate carries high bits down between words,
+/// and `finish` mixes every bit into the low ones. The hasher is
+/// unseeded, hence deterministic across runs, and offers no defence
+/// against crafted collisions: keys are built here from model inputs,
+/// never taken from outside the program.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn fold(&mut self, word: u64) {
+        // FxHash's rotate-xor-multiply step.
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // `EvalKey` hashes through the typed writes below; this byte
+        // path exists for completeness and is never on the hot path.
+        for &b in bytes {
+            self.fold(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.fold(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.fold(x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.fold(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // murmur3's fmix64 finalizer.
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+type Memo = HashMap<EvalKey, Result<OptimalDesign, ModelError>, BuildHasherDefault<KeyHasher>>;
+
 /// A thread-safe memo table for [`Optimizer::optimize`] results.
 ///
 /// Both feasible and infeasible outcomes are stored. Reads take a shared
 /// lock; the first evaluation of a point runs *outside* any lock (the
 /// optimizer sweep is the expensive part) and then takes the exclusive
-/// lock only to insert, so concurrent sweeps scale.
+/// lock only to insert, so concurrent sweeps scale. The lock is
+/// `std::sync::RwLock`; a guard poisoned by a panicking holder is
+/// recovered, since the only updates made under it — one insert or one
+/// clear — leave the map valid whenever they stop.
 ///
 /// Activity counters are [`ucore_obs`] instruments. A private cache
 /// ([`EvalCache::new`]) carries detached instruments, so tests keep
@@ -175,7 +239,7 @@ impl CacheStats {
 /// registry.
 #[derive(Debug)]
 pub struct EvalCache {
-    map: RwLock<HashMap<EvalKey, Result<OptimalDesign, ModelError>>>,
+    map: RwLock<Memo>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     lookups: Arc<Counter>,
@@ -185,7 +249,7 @@ pub struct EvalCache {
 impl Default for EvalCache {
     fn default() -> Self {
         EvalCache {
-            map: RwLock::new(HashMap::new()),
+            map: RwLock::default(),
             hits: Arc::new(Counter::new()),
             misses: Arc::new(Counter::new()),
             lookups: Arc::new(Counter::new()),
@@ -200,6 +264,14 @@ impl EvalCache {
         EvalCache::default()
     }
 
+    fn read(&self) -> RwLockReadGuard<'_, Memo> {
+        self.map.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Memo> {
+        self.map.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The process-wide cache shared by the projection figures and
     /// scenarios (and anything else that opts in). Its counters are
     /// registered in the global metrics registry under `cache.*`.
@@ -208,7 +280,7 @@ impl EvalCache {
         GLOBAL.get_or_init(|| {
             let registry = ucore_obs::registry();
             Arc::new(EvalCache {
-                map: RwLock::new(HashMap::new()),
+                map: RwLock::default(),
                 hits: registry.counter("cache.hits"),
                 misses: registry.counter("cache.misses"),
                 lookups: registry.counter("cache.lookups"),
@@ -233,7 +305,7 @@ impl EvalCache {
         f: ParallelFraction,
     ) -> Result<OptimalDesign, ModelError> {
         let key = EvalKey::new(optimizer, spec, budgets, f);
-        if let Some(cached) = self.map.read().get(&key) {
+        if let Some(cached) = self.read().get(&key) {
             self.hits.inc();
             self.lookups.inc();
             return cached.clone();
@@ -243,7 +315,7 @@ impl EvalCache {
         self.lookups.inc();
         // A racing thread may have inserted the same key meanwhile; both
         // computed the same pure function, so either value is correct.
-        let mut map = self.map.write();
+        let mut map = self.write();
         map.insert(key, result.clone());
         // Published under the write lock, so the gauge settles on the
         // final map size.
@@ -257,13 +329,13 @@ impl EvalCache {
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
-            entries: self.map.read().len(),
+            entries: self.read().len(),
         }
     }
 
     /// Drops all stored entries (counters keep accumulating).
     pub fn clear(&self) {
-        let mut map = self.map.write();
+        let mut map = self.write();
         map.clear();
         self.entries.set(0.0);
     }
@@ -364,6 +436,70 @@ mod tests {
             EvalKey::new(&opt, &a, &budgets, f(0.9)),
             EvalKey::new(&opt, &c, &budgets, f(0.9))
         );
+    }
+
+    #[test]
+    fn key_hasher_separates_keys_and_fills_the_low_byte() {
+        use std::hash::BuildHasher;
+        let opt = Optimizer::paper_default();
+        let specs = [
+            ChipSpec::symmetric(),
+            ChipSpec::asymmetric(),
+            ChipSpec::asymmetric_offload(),
+            ChipSpec::dynamic(),
+            ChipSpec::heterogeneous(UCore::new(27.4, 0.79).unwrap()),
+        ];
+        let mut keys = Vec::new();
+        // Round-number budgets and the paper's fractions: their bit
+        // patterns end in long runs of zeros, the worst case for the
+        // low output bits.
+        for spec in &specs {
+            for area in [16.0, 32.0, 64.0, 100.0, 128.0, 200.0, 256.0, 512.0] {
+                for power in [10.0, 20.0, 50.0, 100.0, 200.0] {
+                    for bandwidth in [25.0, 50.0, 100.0, 200.0, 400.0] {
+                        let budgets = Budgets::new(area, power, bandwidth).unwrap();
+                        for fv in [0.5, 0.9, 0.99, 0.999] {
+                            keys.push(EvalKey::new(&opt, spec, &budgets, f(fv)));
+                        }
+                    }
+                }
+            }
+        }
+        let grid = keys.len();
+        // A seeded batch of arbitrary U-cores, budgets and fractions.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut unit = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for _ in 0..1024 {
+            let ucore = UCore::new(1.0 + 100.0 * unit(), 0.1 + unit()).unwrap();
+            let spec = ChipSpec::heterogeneous(ucore);
+            let (area, power, bandwidth) = (500.0 * unit(), 200.0 * unit(), 400.0 * unit());
+            let budgets = Budgets::new(1.0 + area, 1.0 + power, 1.0 + bandwidth).unwrap();
+            keys.push(EvalKey::new(&opt, &spec, &budgets, f(unit())));
+        }
+        let distinct: std::collections::HashSet<EvalKey> = keys.iter().copied().collect();
+        assert_eq!(distinct.len(), keys.len());
+        assert!(keys.len() >= 4096, "{} keys", keys.len());
+
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let mut hashes: Vec<u64> = keys.iter().map(|k| build.hash_one(k)).collect();
+        // The grid alone must fill the low byte: a bare xor-multiply fold
+        // gives it 18 values there.
+        for (what, hashes) in [("grid", &hashes[..grid]), ("all", &hashes[..])] {
+            let mut seen = [false; 256];
+            for &h in hashes {
+                seen[usize::from(h as u8)] = true;
+            }
+            let filled = seen.iter().filter(|&&s| s).count();
+            assert!(filled >= 200, "{what}: the low byte takes only {filled} of 256 values");
+        }
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), keys.len(), "every key gets its own 64-bit hash");
     }
 
     #[test]

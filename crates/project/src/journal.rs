@@ -46,6 +46,12 @@
 //! resumed run's figure JSON is *byte-identical* to an uninterrupted
 //! run's — the round trip is exact by construction, not by the grace of
 //! a formatter.
+//!
+//! Encoding runs no formatter at all: integers go through small decimal
+//! and hex digit writers and the checksum is a slice-by-8 CRC-32. The
+//! tests hold them to a `format!`-based encoder and the bitwise CRC, and
+//! a committed journal from an earlier build must re-encode to its exact
+//! bytes, so the format cannot drift.
 
 // An output-producing path: no wall clock, no hash-ordered containers.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
@@ -54,7 +60,7 @@ use crate::engine::{DesignId, PortfolioDesign};
 use crate::results::NodePoint;
 use crate::sweep::{Outcome, SweepPoint};
 use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -83,11 +89,14 @@ pub const SYNC_BATCH: usize = 1024;
 // Hashes
 // ---------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) of every byte
-/// value, built at compile time: entry `i` is `i` run through the eight
-/// bitwise division steps.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing tables for CRC-32 (IEEE 802.3, reflected, polynomial
+/// 0xEDB88320), built at compile time. `CRC32_TABLES[0][i]` is byte
+/// value `i` run through the eight bitwise division steps;
+/// `CRC32_TABLES[k][i]` is that remainder advanced through `k` more zero
+/// bytes, so one lookup in table `k` accounts for a byte that `k` more
+/// bytes of its 8-byte step follow.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -97,18 +106,44 @@ const CRC32_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the per-line
-/// checksum framing. One table lookup per byte.
+/// checksum framing. Slice-by-8: each 8-byte step folds the running
+/// remainder into the step's first four bytes and takes one lookup per
+/// byte in [`CRC32_TABLES`], all eight independent; the tail shorter
+/// than a step goes one byte at a time through the first table.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
+    let (steps, tail) = bytes.as_chunks::<8>();
     let mut crc: u32 = !0;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[usize::from((crc as u8) ^ b)];
+    for step in steps {
+        let [a, b, c, d, e, f, g, h] = (u64::from_le_bytes(*step) ^ u64::from(crc)).to_le_bytes();
+        crc = t7[usize::from(a)]
+            ^ t6[usize::from(b)]
+            ^ t5[usize::from(c)]
+            ^ t4[usize::from(d)]
+            ^ t3[usize::from(e)]
+            ^ t2[usize::from(f)]
+            ^ t1[usize::from(g)]
+            ^ t0[usize::from(h)];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t0[usize::from((crc as u8) ^ b)];
     }
     !crc
 }
@@ -396,10 +431,14 @@ pub(crate) fn encode_record_into(record: &JournalRecord, out: &mut String) {
     out.push_str(JOURNAL_VERSION);
     out.push_str("\t00000000\t");
     let body = out.len();
-    // Writing to a `String` cannot fail.
-    let _ = write!(out, "{}\t{}\t", record.sweep_seq, record.index);
+    out.push_str(decimal_digits(record.sweep_seq, &mut [0; 20]));
+    out.push('\t');
+    out.push_str(decimal_digits(record.index as u64, &mut [0; 20]));
+    out.push('\t');
     out.push_str(hex_digits(record.fingerprint, &mut [0; 16]));
-    let _ = write!(out, "\t{}\t", record.retries);
+    out.push('\t');
+    out.push_str(decimal_digits(u64::from(record.retries), &mut [0; 20]));
+    out.push('\t');
     match &record.outcome {
         Outcome::Feasible(p) => {
             out.push_str("ok\t");
@@ -431,6 +470,22 @@ fn hex_digits<const N: usize>(x: u64, buf: &mut [u8; N]) -> &str {
     }
     // Hex digits are ASCII, so this never falls back to the default.
     std::str::from_utf8(buf).unwrap_or_default()
+}
+
+/// `x` in decimal, written into the tail of `buf` (20 digits hold
+/// `u64::MAX`) — what `format!("{x}")` renders, without a formatter.
+fn decimal_digits(mut x: u64, buf: &mut [u8; 20]) -> &str {
+    let mut start = buf.len();
+    for digit in buf.iter_mut().rev() {
+        *digit = b'0' + (x % 10) as u8;
+        x /= 10;
+        start -= 1;
+        if x == 0 {
+            break;
+        }
+    }
+    // Decimal digits are ASCII, so this never falls back to the default.
+    std::str::from_utf8(&buf[start..]).unwrap_or_default()
 }
 
 fn corrupt(line: usize, reason: impl Into<String>) -> JournalError {
@@ -952,6 +1007,125 @@ mod tests {
         ) {
             let bytes = &bytes[..len];
             proptest::prop_assert_eq!(crc32(bytes), crc32_bitwise(bytes));
+        }
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_reference_at_every_length_and_offset() {
+        // Every length through eight full slicing steps, at every start
+        // alignment, so each split into steps and a byte-wise tail is hit.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let buf: Vec<u8> = (0..72)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(crc32(bytes), crc32_bitwise(bytes), "offset {offset}, length {len}");
+            }
+        }
+    }
+
+    /// The record line as `format!` renders it, checksummed by the
+    /// bitwise CRC: the reference `encode_record` must match byte for
+    /// byte.
+    fn reference_line(r: &JournalRecord) -> String {
+        let outcome = match &r.outcome {
+            Outcome::Feasible(p) => format!(
+                "ok\t{}\t{}\t{:016x}\t{:016x}\t{:016x}\t{:016x}",
+                format!("{:?}", p.node).to_lowercase(),
+                format!("{:?}", p.limiter).to_lowercase(),
+                p.speedup.to_bits(),
+                p.r.to_bits(),
+                p.n.to_bits(),
+                p.energy.to_bits(),
+            ),
+            Outcome::Infeasible => "infeasible".to_string(),
+            Outcome::Failed { panic_msg } => format!(
+                "failed\t{}",
+                panic_msg
+                    .replace('\\', "\\\\")
+                    .replace('\t', "\\t")
+                    .replace('\n', "\\n")
+                    .replace('\r', "\\r")
+            ),
+        };
+        let body = format!(
+            "{}\t{}\t{:016x}\t{}\t{outcome}",
+            r.sweep_seq, r.index, r.fingerprint, r.retries
+        );
+        format!("{JOURNAL_VERSION}\t{:08x}\t{body}\n", crc32_bitwise(body.as_bytes()))
+    }
+
+    /// A `u64` with a uniformly drawn digit count (0 to 20), so short
+    /// and long decimal fields are equally likely.
+    fn any_width() -> impl proptest::Strategy<Value = u64> {
+        use proptest::Strategy as _;
+        (0u32..=20, 0u64..=u64::MAX)
+            .prop_map(|(digits, x)| 10u64.checked_pow(digits).map_or(x, |bound| x % bound))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// `encode_record` writes what the `format!` reference writes,
+        /// over arbitrary integers, float bit patterns and Unicode
+        /// failure messages, and `decode_record` gives the record back
+        /// bit for bit.
+        #[test]
+        fn encode_matches_the_format_reference_and_round_trips(
+            ints in (any_width(), any_width(), 0u64..=u64::MAX, any_width()),
+            kind in 0u8..3,
+            node in proptest::sample::select(TechNode::ALL.to_vec()),
+            limiter in proptest::sample::select(
+                vec![Limiter::Area, Limiter::Power, Limiter::Bandwidth],
+            ),
+            bits in proptest::collection::vec(0u64..=u64::MAX, 4),
+            chars in proptest::collection::vec((0u8..4, 0u32..=0x10_ffff), 24),
+            len in 0usize..=24,
+        ) {
+            let (sweep_seq, index, fingerprint, retries) = ints;
+            let outcome = match kind {
+                0 => Outcome::Feasible(NodePoint {
+                    node,
+                    limiter,
+                    speedup: f64::from_bits(bits[0]),
+                    r: f64::from_bits(bits[1]),
+                    n: f64::from_bits(bits[2]),
+                    energy: f64::from_bits(bits[3]),
+                }),
+                1 => Outcome::Infeasible,
+                _ => Outcome::Failed {
+                    // One char in four is a separator or an escape.
+                    panic_msg: chars[..len]
+                        .iter()
+                        .map(|&(pick, c)| match pick {
+                            0 => ['\t', '\n', '\r', '\\'][c as usize % 4],
+                            _ => char::from_u32(c).unwrap_or('\u{fffd}'),
+                        })
+                        .collect(),
+                },
+            };
+            let rec = JournalRecord {
+                sweep_seq,
+                index: index as usize,
+                fingerprint,
+                retries: retries as u32,
+                outcome,
+            };
+            let line = encode_record(&rec);
+            proptest::prop_assert_eq!(&line, &reference_line(&rec));
+            let back = decode_record(line.trim_end_matches('\n'), 1).unwrap();
+            proptest::prop_assert_eq!(
+                (back.sweep_seq, back.index, back.fingerprint, back.retries),
+                (rec.sweep_seq, rec.index, rec.fingerprint, rec.retries)
+            );
+            proptest::prop_assert!(outcomes_bit_equal(&back.outcome, &rec.outcome), "{rec:?}");
         }
     }
 

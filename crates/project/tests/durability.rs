@@ -148,6 +148,33 @@ fn resume_completes_the_journal_for_the_next_resume() {
     let _ = fs::remove_file(&path);
 }
 
+/// A journal written by an earlier build (`repro --journal J --figure
+/// 6`, committed under `tests/fixtures/`) stays readable forever:
+/// decoding and re-encoding its records gives back the file's exact
+/// bytes, and resuming from it answers every point from the journal
+/// with byte-identical figure-6 output.
+#[test]
+fn committed_figure6_journal_re_encodes_and_resumes_exactly() {
+    let _lock = serialized();
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/figure6_journal.jsonl");
+    let bytes = fs::read(&fixture).unwrap();
+    let (records, report) = ucore_project::journal::read_records(&fixture).unwrap();
+    assert_eq!((records.len(), report.torn_tail), (120, false));
+    let re_encoded: String = records.iter().map(ucore_project::journal::encode_record).collect();
+    assert!(re_encoded.as_bytes() == bytes.as_slice(), "re-encoded records differ from the file");
+
+    let baseline = serde_json::to_string_pretty(&figures::figure6().unwrap()).unwrap();
+    // A resume completes its journal in place: work on a copy.
+    let path = temp_journal("fixture");
+    fs::write(&path, &bytes).unwrap();
+    let (json, hits, _) = resumed_figure6(&path);
+    assert_eq!(hits, 120, "every committed record replays");
+    assert_eq!(json, baseline);
+    assert_eq!(fs::read(&path).unwrap(), bytes, "a complete journal gains no records");
+    let _ = fs::remove_file(&path);
+}
+
 /// A torn final record — the bytes a crash mid-append leaves — is
 /// skipped (that point re-evaluates); the resumed output is still
 /// byte-identical.
