@@ -6,9 +6,8 @@
 //! and `--profile` leave the rendered bytes identical. A failed sweep
 //! point degrades only that point; more of them than `--max-failures`
 //! exit 2. `--journal`/`--resume` make a killed run resumable to the same
-//! bytes, and `--shards N` spreads it over worker processes whose
-//! journals merge into `--journal` (DESIGN.md §12, §16). SIGINT/SIGTERM
-//! fsync the active journal and exit 130/143.
+//! bytes (DESIGN.md §12). SIGINT/SIGTERM fsync the active journal and
+//! exit 130/143.
 
 #![forbid(unsafe_code)]
 // Panic-freedom outside tests, as in every first-party crate.
@@ -23,7 +22,6 @@ use ucore_bench::snapshot;
 use ucore_obs::MetricsSnapshot;
 use ucore_project::durability::{signals, DurabilityConfig};
 use ucore_project::faultinject::FaultPlan;
-use ucore_project::shard::{self, OrchestratorConfig, ShardSpec};
 
 const ALL: Flag = Flag::switch("--all", "every table, figure, and scenario in paper order");
 const EXPERIMENTS: Flag = Flag::switch("--experiments", "the experiment index");
@@ -39,12 +37,6 @@ const BENCH_CHECK: Flag =
 const STATS: Flag = Flag::switch("--stats", "print evaluation/cache/sweep counters to stderr");
 const MAX_FAILURES: Flag = Flag::count("--max-failures", "tolerate N failed points (default 0)");
 const OUT: Flag = Flag::text("--out", "PATH", "write the output to PATH atomically");
-const SHARDS: Flag = Flag::positive("--shards", "run across N worker processes (needs --journal)");
-const SHARD: Flag = Flag::text("--shard", "I/N", "run as worker I of N (set by --shards)");
-const SHARD_STALL_MS: Flag =
-    Flag::positive("--shard-stall-ms", "reassign a worker silent for N ms (default 30000)");
-const SHARD_RETRIES: Flag =
-    Flag::count("--shard-retries", "reassign a lease up to N times (default 3)");
 const METRICS: Flag = Flag::text("--metrics", "PATH", "write a Prometheus metrics snapshot");
 const TRACE: Flag = Flag::text("--trace", "PATH", "record spans and write the binary trace");
 const PROFILE: Flag = Flag::switch("--profile", "print a per-phase span profile to stderr");
@@ -69,8 +61,8 @@ static SPEC: Spec = Spec {
         (
             "options",
             &[
-                STATS, MAX_FAILURES, OUT, SHARDS, SHARD, SHARD_STALL_MS, SHARD_RETRIES, METRICS,
-                TRACE, PROFILE, BENCH_DIR, BENCH_AGAINST, BENCH_CURRENT, BENCH_TOLERANCE,
+                STATS, MAX_FAILURES, OUT, METRICS, TRACE, PROFILE, BENCH_DIR, BENCH_AGAINST,
+                BENCH_CURRENT, BENCH_TOLERANCE,
             ],
         ),
         ("durability", cli::DURABILITY),
@@ -114,11 +106,8 @@ impl Command {
 struct Cli {
     stats: bool,
     max_failures: u64,
-    /// Journal, resume, stall timeout, retries and shard lease.
+    /// Journal, resume, stall timeout and retries.
     durability: DurabilityConfig,
-    shards: Option<usize>,
-    shard_stall_ms: u64,
-    shard_retries: u32,
     out: Option<PathBuf>,
     metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
@@ -128,10 +117,6 @@ struct Cli {
     bench_current: Option<PathBuf>,
     bench_tolerance: f64,
     command: Command,
-    /// What every shard worker gets after its `--shard i/n --journal
-    /// PATH [--resume]` prefix: the command flag and the per-point
-    /// policy flags, as given.
-    worker_args: Vec<String>,
 }
 
 /// Parses the command line.
@@ -143,34 +128,24 @@ struct Cli {
 fn parse(argv: Vec<String>) -> Result<Cli, String> {
     let args = SPEC.parse(argv)?;
     let mut command = None;
-    let mut worker_args = Vec::new();
     for (flag, value) in args.given() {
         let selected = Command::of(flag, value);
         if selected.is_some() && command.is_some() {
             return Err(SPEC.error("only one command per invocation"));
         }
-        if selected.is_some() || [cli::TIMEOUT_MS, cli::RETRIES].contains(flag) {
-            worker_args.extend(std::iter::once(flag.name.to_string()).chain(value.clone()));
-        }
         command = command.or(selected);
     }
-    let mut durability = cli::durability_config(&args)?;
-    durability.shard =
-        args.text(&SHARD).map(ShardSpec::parse).transpose().map_err(|e| SPEC.error(e))?;
+    let durability = cli::durability_config(&args)?;
     let bench_tolerance = match args.text(&BENCH_TOLERANCE) {
         None => snapshot::DEFAULT_TOLERANCE,
         Some(v) => v.parse().ok().filter(|&t: &f64| t.is_finite() && t >= 1.0).ok_or_else(|| {
             SPEC.error(format!("--bench-tolerance value {v:?} is not a finite ratio >= 1.0"))
         })?,
     };
-    let default_stall_ms = shard::DEFAULT_STALL_TIMEOUT.as_millis() as u64;
     let cli = Cli {
         stats: args.has(&STATS),
         max_failures: args.int(&MAX_FAILURES)?.unwrap_or(0),
         durability,
-        shards: args.int(&SHARDS)?,
-        shard_stall_ms: args.int(&SHARD_STALL_MS)?.unwrap_or(default_stall_ms),
-        shard_retries: args.int(&SHARD_RETRIES)?.unwrap_or(shard::DEFAULT_LEASE_RETRIES),
         out: args.path(&OUT),
         metrics: args.path(&METRICS),
         trace: args.path(&TRACE),
@@ -180,40 +155,15 @@ fn parse(argv: Vec<String>) -> Result<Cli, String> {
         bench_current: args.path(&BENCH_CURRENT),
         bench_tolerance,
         command: command.unwrap_or(Command::All),
-        worker_args,
     };
-    let (sharded, journal) = (cli.shards.is_some(), cli.durability.journal.is_some());
-    let worker = cli.durability.shard.is_some();
-    let renders =
-        !matches!(cli.command, Command::Help | Command::BenchSnapshot(_) | Command::BenchCheck(_));
     let single_check = matches!(&cli.command, Command::BenchCheck(topic) if topic != "all");
-    let conflicts = [
-        (sharded && worker, "--shards (orchestrator) and --shard (worker) are mutually exclusive"),
-        (sharded && !journal, "--shards requires --journal PATH (shard journals merge into it)"),
-        (
-            worker && !journal,
-            "--shard requires --journal PATH (a worker's results live in its journal)",
-        ),
-        (
-            sharded && cli.durability.resume,
-            "--shards cannot be combined with --resume \
-             (the orchestrator always replays the merged journal)",
-        ),
-        (
-            (sharded || worker) && !renders,
-            "--shards/--shard need a rendering command \
-             (a table, figure, scenario, json or csv target)",
-        ),
-        (
-            (cli.bench_against.is_some() || cli.bench_current.is_some()) && !single_check,
+    if (cli.bench_against.is_some() || cli.bench_current.is_some()) && !single_check {
+        return Err(SPEC.error(
             "--bench-against/--bench-current require --bench-check with a \
              single topic (kernels|sweep)",
-        ),
-    ];
-    match conflicts.into_iter().find(|&(conflict, _)| conflict) {
-        Some((_, message)) => Err(SPEC.error(message)),
-        None => Ok(cli),
+        ));
     }
+    Ok(cli)
 }
 
 /// Expands a bench topic argument into concrete topics.
@@ -304,57 +254,6 @@ fn run_bench_check(cli: &Cli, topic: &str) -> Result<usize, String> {
     Ok(breaches_total)
 }
 
-/// `--shards N`: run the worker fleet to completion and merge the shard
-/// journals into `--journal`, which parsing made sure was given. The
-/// caller then renders by replaying the merged journal, so worker
-/// crashes and abandoned leases cost wall time, never output bytes.
-///
-/// # Errors
-///
-/// An executable path that cannot be found, a worker that cannot be
-/// spawned, or a failed journal merge.
-fn run_shard_fleet(cli: &Cli, shards: usize) -> Result<(), String> {
-    let merged = cli.durability.journal.clone().unwrap_or_default();
-    let program = std::env::current_exe()
-        .map_err(|e| format!("cannot locate the repro executable: {e}"))?;
-    let mut cfg = OrchestratorConfig::new(shards, merged, program, cli.worker_args.clone());
-    cfg.stall_timeout = Duration::from_millis(cli.shard_stall_ms);
-    cfg.lease_retries = cli.shard_retries;
-    let report = shard::orchestrate(&cfg).map_err(|e| e.to_string())?;
-    for outcome in &report.shards {
-        let mut notes: Vec<String> = Vec::new();
-        if outcome.crashes > 0 {
-            notes.push(format!("{} crash(es)", outcome.crashes));
-        }
-        if outcome.stalls > 0 {
-            notes.push(format!("{} stall(s)", outcome.stalls));
-        }
-        if !outcome.completed {
-            notes.push(String::from("lease abandoned"));
-        }
-        let notes = if notes.is_empty() {
-            String::new()
-        } else {
-            format!(" [{}]", notes.join(", "))
-        };
-        eprintln!(
-            "shard {}/{}: {} journaled record(s) in {} attempt(s){notes}",
-            outcome.shard, shards, outcome.records, outcome.attempts
-        );
-    }
-    eprintln!(
-        "shards: merged {} record(s) ({} duplicate(s), {} rejected, {} torn tail(s), \
-         {} missing journal(s)) into {}",
-        report.merge.records,
-        report.merge.duplicates,
-        report.merge.rejected,
-        report.merge.torn_tails,
-        report.merge.missing,
-        cfg.merged_journal.display(),
-    );
-    Ok(())
-}
-
 /// Renders one shared-module target, restoring the CLI's historical
 /// error bytes: bad targets get the usage banner appended, model
 /// failures pass through verbatim.
@@ -386,16 +285,9 @@ fn print_stats(snapshot: &MetricsSnapshot, total: Duration) {
     };
     eprintln!("--- repro --stats ---");
     for (i, s) in ucore_project::sweep::drain_phase_log().iter().enumerate() {
-        // The lease note appears only for shard workers, so unsharded
-        // runs keep the exact historical phase-line bytes.
-        let lease_note = if s.points_skipped > 0 {
-            format!(", {} lease-skipped", s.points_skipped)
-        } else {
-            String::new()
-        };
         eprintln!(
             "sweep phase {i}: {} points ({} ok, {} infeasible, {} failed) on {} threads, \
-             {} cache hits, {} misses, {} journal hits, {} retries{lease_note}, {:.3} ms",
+             {} cache hits, {} misses, {} journal hits, {} retries, {:.3} ms",
             s.points,
             s.points_ok,
             s.points_infeasible,
@@ -428,33 +320,6 @@ fn print_stats(snapshot: &MetricsSnapshot, total: Duration) {
         snapshot.counter("journal.stale"),
         snapshot.counter("points.retries"),
     );
-    // Shard lines appear only when sharding was actually exercised, so
-    // every pre-existing --stats consumer sees unchanged bytes.
-    if snapshot.counter("shard.workers_spawned") > 0 {
-        eprintln!(
-            "sharding: {} workers spawned ({} ok, {} crashed, {} stalled), \
-             {} leases reassigned, {} abandoned",
-            snapshot.counter("shard.workers_spawned"),
-            snapshot.counter("shard.workers_ok"),
-            snapshot.counter("shard.workers_crashed"),
-            snapshot.counter("shard.workers_stalled"),
-            snapshot.counter("shard.leases_reassigned"),
-            snapshot.counter("shard.leases_abandoned"),
-        );
-        eprintln!(
-            "shard merge: {} records ({} duplicates deduped, {} rejected on \
-             fingerprint mismatch)",
-            snapshot.counter("shard.merge_records"),
-            snapshot.counter("shard.merge_duplicates"),
-            snapshot.counter("shard.merge_rejected"),
-        );
-    }
-    if snapshot.counter("shard.points_skipped") > 0 {
-        eprintln!(
-            "shard lease: {} out-of-lease points skipped",
-            snapshot.counter("shard.points_skipped"),
-        );
-    }
     eprintln!(
         "failure log: {} retained (cap {}), {} dropped",
         ucore_project::failure_diagnostics().len(),
@@ -560,11 +425,11 @@ fn write_observability(cli: &Cli, snapshot: &MetricsSnapshot) -> Result<(), Stri
 
 fn main() -> ExitCode {
     // Installed before any journal can open: SIGINT/SIGTERM fsync the
-    // active journal and exit 130/143, so an interrupted worker's
-    // journal tail is durable and the run is always resumable.
+    // active journal and exit 130/143, so an interrupted run's journal
+    // tail is durable and the run is always resumable.
     signals::install(false);
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cli = match parse(args) {
+    let cli = match parse(args) {
         Ok(cli) => cli,
         Err(e) => {
             eprintln!("{e}");
@@ -603,24 +468,7 @@ fn main() -> ExitCode {
         }
         _ => {}
     }
-    // Orchestrator mode: run the worker fleet first, then fall through
-    // to the ordinary render path in *resume* mode against the merged
-    // journal — replay makes the output byte-identical to a
-    // single-process run, and any points an abandoned lease never
-    // journaled are simply evaluated here, in-process.
-    let mut faults =
-        FaultPlan::from_env_value(std::env::var("UCORE_FAULT_INJECT").ok().as_deref());
-    if let Some(shards) = cli.shards {
-        if let Err(e) = run_shard_fleet(&cli, shards) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        // The workers inherited any UCORE_FAULT_INJECT plan and already
-        // honored it; the orchestrator's own replay-render leaves the
-        // plan out so the same fault does not fire again.
-        faults = FaultPlan::new();
-        cli.durability.resume = true;
-    }
+    let faults = FaultPlan::from_env_value(std::env::var("UCORE_FAULT_INJECT").ok().as_deref());
     // Keep the journal alive (and fsync'd) for the whole render.
     let _durability_guard = match cli::activate_durability(cli.durability.clone(), faults) {
         Ok(guard) => guard,
@@ -656,10 +504,8 @@ fn main() -> ExitCode {
     }
     // Fault-containment accounting: rendering succeeded point-by-point,
     // but the run as a whole is only healthy if contained failures stay
-    // within the caller's tolerance. Shard *workers* skip this policing
-    // — their journaled Failed records replay in the orchestrator,
-    // which polices the whole merged run once.
-    if cli.durability.shard.is_none() && snapshot.counter("points.failed") > cli.max_failures {
+    // within the caller's tolerance.
+    if snapshot.counter("points.failed") > cli.max_failures {
         print_failure_diagnostic(&snapshot, cli.max_failures);
         return ExitCode::from(2);
     }

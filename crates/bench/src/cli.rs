@@ -91,11 +91,9 @@ const JOURNAL: Flag =
     Flag::text("--journal", "PATH", "stream completed sweep points to a checksummed journal");
 const RESUME: Flag =
     Flag::switch("--resume", "replay the journal; re-evaluate only missing points (needs --journal)");
-/// `--timeout-ms N`: release an injected stall after N ms.
-pub const TIMEOUT_MS: Flag =
+const TIMEOUT_MS: Flag =
     Flag::positive("--timeout-ms", "release an injected stall as Failed{timeout} after N ms");
-/// `--retries N`: retry failed points.
-pub const RETRIES: Flag = Flag::count("--retries", "retry failed points up to N times (default 0)");
+const RETRIES: Flag = Flag::count("--retries", "retry failed points up to N times (default 0)");
 /// The durability flags both binaries accept.
 pub const DURABILITY: &[Flag] = &[JOURNAL, RESUME, TIMEOUT_MS, RETRIES];
 
@@ -216,7 +214,7 @@ impl Args {
     }
 }
 
-/// Reads the [`DURABILITY`] flags into a config without a shard lease.
+/// Reads the [`DURABILITY`] flags into a config with no fault plan.
 ///
 /// # Errors
 ///

@@ -147,6 +147,14 @@ fn unknown_flag_suggests_the_nearest_known_one() {
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("did you mean --stats?"), "{err}");
+
+    // A removed flag is an error, never a silently different run.
+    let out = repro(&["--shards", "2", "--figure", "6"]);
+    assert_eq!(out.status.code(), Some(1), "usage error");
+    assert!(out.stdout.is_empty(), "nothing rendered");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown flag \"--shards\""), "{err}");
+    assert!(err.contains("usage"), "{err}");
 }
 
 #[test]
@@ -287,6 +295,65 @@ fn killed_run_resumes_to_byte_identical_output() {
         "only missing points re-evaluate: {err}"
     );
     let _ = std::fs::remove_file(journal);
+}
+
+/// SIGTERM flushes the journal before exiting 143, and the flushed
+/// journal resumes to byte-identical output — the contract an operator's
+/// `kill -TERM` or Ctrl-C relies on.
+#[cfg(unix)]
+#[test]
+fn sigterm_flushes_the_journal_and_the_run_resumes() {
+    use std::time::{Duration, Instant};
+
+    let baseline = repro(&["--json", "figure-6"]);
+    assert!(baseline.status.success());
+
+    let journal = scratch("sigterm.jsonl");
+    // stall@100 parks the run after ~100 journaled points so the TERM
+    // lands mid-run deterministically.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--journal", journal.to_str().unwrap(), "--json", "figure-6"])
+        .env("UCORE_FAULT_INJECT", "stall@100")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("repro binary spawns");
+
+    // Wait for the journal to reach its pre-stall plateau: a nonzero
+    // size that holds still across two polls.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut last = 0u64;
+    loop {
+        std::thread::sleep(Duration::from_millis(150));
+        let len = std::fs::metadata(&journal).map(|m| m.len()).unwrap_or(0);
+        if len > 0 && len == last {
+            break;
+        }
+        last = len;
+        assert!(Instant::now() < deadline, "journal never plateaued");
+    }
+
+    let term = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(term.success());
+    let status = child.wait().expect("child reaped");
+    assert_eq!(status.code(), Some(143), "SIGTERM exits 128 + 15");
+
+    let records = std::fs::read_to_string(&journal).unwrap().lines().count();
+    assert!(records > 0, "the handler flushed completed points");
+
+    let resumed = repro(&[
+        "--journal", journal.to_str().unwrap(),
+        "--resume",
+        "--json", "figure-6",
+    ]);
+    assert!(resumed.status.success());
+    assert_eq!(resumed.stdout, baseline.stdout, "resume is byte-identical");
+    let err = String::from_utf8(resumed.stderr).unwrap();
+    assert!(err.contains("resume: replayed"), "{err}");
+    let _ = std::fs::remove_file(&journal);
 }
 
 #[test]

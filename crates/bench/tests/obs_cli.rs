@@ -133,26 +133,6 @@ ucore_points_speedup_bucket{le=\"+Inf\"} 120
 ucore_points_speedup_count 120
 # TYPE ucore_points_submitted counter
 ucore_points_submitted 120
-# TYPE ucore_shard_leases_abandoned counter
-ucore_shard_leases_abandoned 0
-# TYPE ucore_shard_leases_reassigned counter
-ucore_shard_leases_reassigned 0
-# TYPE ucore_shard_merge_duplicates counter
-ucore_shard_merge_duplicates 0
-# TYPE ucore_shard_merge_records counter
-ucore_shard_merge_records 0
-# TYPE ucore_shard_merge_rejected counter
-ucore_shard_merge_rejected 0
-# TYPE ucore_shard_points_skipped counter
-ucore_shard_points_skipped 0
-# TYPE ucore_shard_workers_crashed counter
-ucore_shard_workers_crashed 0
-# TYPE ucore_shard_workers_ok counter
-ucore_shard_workers_ok 0
-# TYPE ucore_shard_workers_spawned counter
-ucore_shard_workers_spawned 0
-# TYPE ucore_shard_workers_stalled counter
-ucore_shard_workers_stalled 0
 # TYPE ucore_sweep_batches counter
 ucore_sweep_batches 1
 ";

@@ -62,8 +62,8 @@ fn backticked(cell: &str) -> Option<&str> {
 
 /// True for dotted metric names in a known family, e.g. `serve.shed`.
 pub fn is_metric_name(name: &str) -> bool {
-    const FAMILIES: [&str; 8] =
-        ["points", "sweep", "journal", "cache", "failures", "shard", "serve", "obs"];
+    const FAMILIES: [&str; 7] =
+        ["points", "sweep", "journal", "cache", "failures", "serve", "obs"];
     let Some((family, rest)) = name.split_once('.') else { return false };
     FAMILIES.contains(&family)
         && !rest.is_empty()
@@ -89,7 +89,7 @@ pub fn is_error_prefix(name: &str) -> bool {
         && !stem.ends_with(' ')
 }
 
-/// True for long-form CLI flags, e.g. `--shard-stall-ms`.
+/// True for long-form CLI flags, e.g. `--bench-tolerance`.
 pub fn is_flag_name(name: &str) -> bool {
     let Some(stem) = name.strip_prefix("--") else { return false };
     let mut chars = stem.chars();
@@ -137,7 +137,7 @@ mod tests {
         assert!(!is_error_prefix("model"));
         assert!(!is_error_prefix(":"));
 
-        assert!(is_flag_name("--shard-stall-ms"));
+        assert!(is_flag_name("--bench-tolerance"));
         assert!(!is_flag_name("--"));
         assert!(!is_flag_name("-h"));
         assert!(!is_flag_name("--Flag"));

@@ -1,6 +1,6 @@
 //! The run configuration a sweep reads: journaling, resume, the
-//! injected-stall timeout, retry policy, the shard lease and the fault
-//! plan, held as plain values in one [`RunContext`].
+//! injected-stall timeout, retry policy and the fault plan, held as
+//! plain values in one [`RunContext`].
 //!
 //! [`RunContext::open`] builds a context from a [`DurabilityConfig`];
 //! [`sweep_in`](crate::sweep::sweep_in) takes it as an argument and
@@ -36,7 +36,6 @@
 
 use crate::faultinject::{Fault, FaultPlan};
 use crate::journal::{self, JournalError, JournalRecord, JournalWriter, ReplayMap, ReplayReport};
-use crate::shard::ShardSpec;
 use std::cell::Cell;
 use std::fmt;
 use std::path::PathBuf;
@@ -60,11 +59,6 @@ pub struct DurabilityConfig {
     /// Retry attempts for failed points (`--retries N`; 0 = no
     /// retries).
     pub retries: u32,
-    /// Restrict every sweep to this shard's index-range lease
-    /// (`--shard I/N`). Out-of-lease points are skipped without
-    /// evaluation or journaling and reported in
-    /// `SweepStats::points_skipped`.
-    pub shard: Option<ShardSpec>,
     /// Faults to inject, keyed by submission index. The binaries parse
     /// `UCORE_FAULT_INJECT` into it; empty by default.
     pub faults: FaultPlan,
@@ -111,8 +105,8 @@ impl From<JournalError> for DurabilityError {
 }
 
 /// Everything a sweep reads about its run: the journal writer, the
-/// replayed journal, the retry and timeout policy, the shard lease, the
-/// fault plan and the sweep counter. The default is inert.
+/// replayed journal, the retry and timeout policy, the fault plan and
+/// the sweep counter. The default is inert.
 #[derive(Debug, Default)]
 pub struct RunContext {
     writer: Option<Mutex<JournalWriter>>,
@@ -123,7 +117,6 @@ pub struct RunContext {
     pub(crate) replay: ReplayMap,
     pub(crate) timeout: Option<Duration>,
     pub(crate) retries: u32,
-    pub(crate) shard: Option<ShardSpec>,
     pub(crate) faults: FaultPlan,
     sweep_seq: AtomicU64,
 }
@@ -165,7 +158,6 @@ impl RunContext {
             replay,
             timeout: config.timeout,
             retries: config.retries,
-            shard: config.shard,
             faults: config.faults,
             sweep_seq: AtomicU64::new(0),
         };

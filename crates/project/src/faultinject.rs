@@ -8,7 +8,7 @@
 //! a simulated cache-layer error — at chosen submission indices.
 //!
 //! Faults are keyed on the *submission index* of a point, which is
-//! stable across runs and shard layouts, so an injected run is
+//! stable across runs and resumes, so an injected run is
 //! reproducible: the same point fails, every other point is bit-identical
 //! to an uninjected run.
 //!

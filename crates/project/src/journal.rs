@@ -816,8 +816,8 @@ pub fn replay(path: &Path) -> Result<(ReplayMap, ReplayReport), JournalError> {
 }
 
 /// Reads a journal's intact records in file order, without collapsing
-/// duplicate `(sweep_seq, index)` slots — the building block shard
-/// merging uses to apply its own dedup policy. Validation is exactly
+/// duplicate `(sweep_seq, index)` slots, for callers that inspect a
+/// journal record by record. Validation is exactly
 /// [`replay`]'s: every complete line must decode, a torn tail is
 /// skipped and flagged. The returned report counts raw records and
 /// leaves `duplicates` at zero.

@@ -20,11 +20,7 @@
 //! * [`journal`] — the append-only, checksummed run journal (and the
 //!   [`atomic_write`] helper for crash-safe artifacts);
 //! * [`durability`] — the [`RunContext`] a sweep runs under:
-//!   checkpoint/resume, retry-with-backoff, the shard lease and the
-//!   fault plan;
-//! * [`shard`] — multi-process sweep sharding: index-range leases,
-//!   worker-crash/stall tolerance with bounded lease reassignment, and
-//!   the deterministic shard-journal merge.
+//!   checkpoint/resume, retry-with-backoff and the fault plan.
 //!
 //! ## Durability & recovery
 //!
@@ -38,19 +34,6 @@
 //! **byte-identical** to an uninterrupted run. Failed points retry with
 //! exponential backoff and deterministic jitter.
 //!
-//! ## Sharded execution
-//!
-//! A sweep runs on its caller's thread; parallelism comes from sharding
-//! it across *processes*: [`ShardSpec::lease`] assigns worker `i` of `n`
-//! a contiguous index range of every sweep, each worker journals only
-//! its lease, and [`merge_journals`] folds the shard journals into one
-//! index-sorted journal whose replay reproduces the single-process
-//! figure bytes exactly. [`orchestrate`] runs the whole fleet: it spawns the
-//! workers, watches journal-growth heartbeats, reassigns a crashed or
-//! stalled worker's lease with bounded deterministic backoff, and
-//! degrades gracefully — an abandoned lease's points are simply evaluated
-//! in-process from the merged journal's gaps.
-//!
 //! ## Caching and determinism
 //!
 //! Design-point evaluation is a pure function of `(optimizer, spec,
@@ -58,8 +41,8 @@
 //! infeasible — in a process-wide table keyed on the canonicalized bit
 //! patterns of all inputs. Figures resolve their grids in submission
 //! order on the caller's thread (see [`sweep`](mod@sweep)), so rendered and
-//! exported output is bit-identical across cache states, shard counts
-//! and repeated runs.
+//! exported output is bit-identical across cache states and repeated
+//! runs.
 //!
 //! ```
 //! use ucore_project::{figures, Scenario};
@@ -88,7 +71,6 @@ pub mod journal;
 mod obs;
 pub mod results;
 pub mod scenario;
-pub mod shard;
 pub mod sweep;
 
 pub use contain::contain;
@@ -107,10 +89,6 @@ pub use journal::{
 };
 pub use results::{FailureRecord, FigureData, NodePoint, Panel, Series, SweepHealth};
 pub use scenario::Scenario;
-pub use shard::{
-    lease_ranges, merge_journals, orchestrate, shard_journal_path, shard_log_path,
-    MergeReport, OrchestratorConfig, ShardError, ShardOutcome, ShardRunReport, ShardSpec,
-};
 pub use sweep::{
     failure_diagnostics, failures_dropped, figure_points, outcome_totals, sweep, sweep_in,
     FailureDiagnostic, Outcome, OutcomeTotals, SweepConfig, SweepPoint, SweepResult,

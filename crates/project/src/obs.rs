@@ -21,16 +21,6 @@
 //! | `journal.write_errors` | counter | append failures (journaling degraded)     |
 //! | `failures.retained` | counter   | diagnostics kept in the bounded log        |
 //! | `failures.dropped`  | counter   | diagnostics dropped beyond the cap         |
-//! | `shard.workers_spawned`   | counter | shard worker processes launched (first runs + reassignments) |
-//! | `shard.workers_ok`        | counter | shard workers that exited cleanly          |
-//! | `shard.workers_crashed`   | counter | shard workers that crashed (nonzero exit / signal / unpollable) |
-//! | `shard.workers_stalled`   | counter | shard workers killed for journal-heartbeat silence |
-//! | `shard.leases_reassigned` | counter | leases handed to a replacement worker      |
-//! | `shard.leases_abandoned`  | counter | leases given up after exhausting retries   |
-//! | `shard.merge_records`     | counter | distinct slots written by the journal merge |
-//! | `shard.merge_duplicates`  | counter | duplicate slots deduped by the merge       |
-//! | `shard.merge_rejected`    | counter | merge writes rejected on fingerprint mismatch |
-//! | `shard.points_skipped`    | counter | out-of-lease points skipped by shard workers |
 //!
 //! (`ucore-core` registers `cache.hits`/`cache.misses`/`cache.lookups`
 //! and the `cache.entries` gauge for the global evaluation cache.)
@@ -67,16 +57,6 @@ pub(crate) struct ProjectMetrics {
     pub(crate) journal_write_errors: Arc<Counter>,
     pub(crate) failures_retained: Arc<Counter>,
     pub(crate) failures_dropped: Arc<Counter>,
-    pub(crate) shard_workers_spawned: Arc<Counter>,
-    pub(crate) shard_workers_ok: Arc<Counter>,
-    pub(crate) shard_workers_crashed: Arc<Counter>,
-    pub(crate) shard_workers_stalled: Arc<Counter>,
-    pub(crate) shard_leases_reassigned: Arc<Counter>,
-    pub(crate) shard_leases_abandoned: Arc<Counter>,
-    pub(crate) shard_merge_records: Arc<Counter>,
-    pub(crate) shard_merge_duplicates: Arc<Counter>,
-    pub(crate) shard_merge_rejected: Arc<Counter>,
-    pub(crate) shard_points_skipped: Arc<Counter>,
     pub(crate) speedup: Arc<Histogram>,
     pub(crate) point_us: Arc<Histogram>,
 }
@@ -100,16 +80,6 @@ pub(crate) fn metrics() -> &'static ProjectMetrics {
             journal_write_errors: r.counter("journal.write_errors"),
             failures_retained: r.counter("failures.retained"),
             failures_dropped: r.counter("failures.dropped"),
-            shard_workers_spawned: r.counter("shard.workers_spawned"),
-            shard_workers_ok: r.counter("shard.workers_ok"),
-            shard_workers_crashed: r.counter("shard.workers_crashed"),
-            shard_workers_stalled: r.counter("shard.workers_stalled"),
-            shard_leases_reassigned: r.counter("shard.leases_reassigned"),
-            shard_leases_abandoned: r.counter("shard.leases_abandoned"),
-            shard_merge_records: r.counter("shard.merge_records"),
-            shard_merge_duplicates: r.counter("shard.merge_duplicates"),
-            shard_merge_rejected: r.counter("shard.merge_rejected"),
-            shard_points_skipped: r.counter("shard.points_skipped"),
             speedup: r.histogram("points.speedup", &SPEEDUP_BOUNDS),
             point_us: r.histogram("sweep.point_us", &POINT_US_BOUNDS),
         }

@@ -4,8 +4,8 @@
 //! evaluations: every `(design, node, f)` cell of every panel runs the
 //! same pure `r` sweep under its own budgets. Each point is a
 //! closed-form evaluation of a few microseconds, so a sweep resolves its
-//! points in submission order on the caller's thread; process-level
-//! parallelism is `repro --shards N` ([`crate::shard`]).
+//! points in submission order on the caller's thread. A killed run
+//! recovers through the run journal and `--resume` ([`durability`]).
 //!
 //! # Determinism
 //!
@@ -47,7 +47,7 @@
 //!
 //! [`sweep_in`] takes its whole run configuration as arguments: a
 //! [`SweepConfig`] for this call and a [`RunContext`] for the run
-//! (journal, retries, shard lease, fault plan). [`sweep`] is the
+//! (journal, retries, fault plan). [`sweep`] is the
 //! adapter the figures use: it reads the process slot that
 //! [`durability::activate`] fills and the thread's request deadline.
 
@@ -61,7 +61,6 @@ use crate::faultinject::Fault;
 use crate::journal::{self, JournalRecord, ReplayLookup};
 use crate::obs;
 use crate::results::NodePoint;
-use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use ucore_calibrate::WorkloadColumn;
@@ -168,11 +167,6 @@ pub struct SweepStats {
     /// Points whose evaluation failed (contained panic or injected
     /// fault).
     pub points_failed: usize,
-    /// Points outside this process's shard lease, skipped without
-    /// evaluation or journaling. Always 0 unless a `--shard I/N` lease
-    /// is active; skipped points are excluded from
-    /// `points_infeasible`.
-    pub points_skipped: usize,
     /// Threads the sweep ran on: always 1, the caller's.
     pub threads: usize,
     /// Cache hits during this sweep.
@@ -317,10 +311,6 @@ fn run_sweep(
         ctx,
         deadline,
         sweep_seq,
-        // A shard worker owns only its lease of the batch; everything
-        // else is skipped before evaluation, journaling, or fault
-        // injection.
-        lease: ctx.shard.map(|spec| spec.lease(points.len())),
     };
     let cache_before = engine.cache().stats();
     #[expect(
@@ -344,10 +334,9 @@ fn run_sweep(
         .iter()
         .filter(|r| r.outcome.node_point().is_some())
         .count();
-    let points_skipped = resolutions.iter().filter(|r| r.skipped).count();
     let points_infeasible = resolutions
         .iter()
-        .filter(|r| r.outcome.is_infeasible() && !r.skipped)
+        .filter(|r| r.outcome.is_infeasible())
         .count();
     let points_failed = resolutions.iter().filter(|r| r.outcome.is_failed()).count();
     let journal_hits = resolutions.iter().filter(|r| r.replayed).count() as u64;
@@ -358,9 +347,6 @@ fn run_sweep(
     m.ok.add(points_ok as u64);
     m.infeasible.add(points_infeasible as u64);
     m.failed.add(points_failed as u64);
-    if points_skipped > 0 {
-        m.shard_points_skipped.add(points_skipped as u64);
-    }
     // Feasible speedups are model outputs, so this histogram is part of
     // the deterministic snapshot (bucket counts are order-independent).
     for speedup in resolutions
@@ -380,7 +366,6 @@ fn run_sweep(
         points_ok,
         points_infeasible,
         points_failed,
-        points_skipped,
         threads: 1,
         cache_hits: cache_after.hits - cache_before.hits,
         cache_misses: cache_after.misses - cache_before.misses,
@@ -435,10 +420,6 @@ struct PointResolution {
     retries: u32,
     /// Whether the outcome came from the replayed journal.
     replayed: bool,
-    /// Whether the point was outside this worker's shard lease and
-    /// skipped without evaluation (its `Infeasible` outcome is a
-    /// placeholder, not a model result).
-    skipped: bool,
 }
 
 /// The inputs every point of one sweep shares.
@@ -448,7 +429,6 @@ struct SweepRun<'a> {
     ctx: &'a RunContext,
     deadline: Option<Deadline>,
     sweep_seq: u64,
-    lease: Option<Range<usize>>,
 }
 
 impl SweepRun<'_> {
@@ -465,20 +445,7 @@ impl SweepRun<'_> {
     ///    deterministic backoff ([`durability::backoff_delay`]).
     /// 4. **Journal** — the settled outcome (and its retry count) is
     ///    appended to the run journal.
-    ///
-    /// With a shard lease, an out-of-lease point short-circuits *before*
-    /// any of the above: it is not evaluated, not journaled, and no
-    /// injected fault fires for it — only the worker that owns a point
-    /// can crash on it.
     fn resolve_point(&self, point: &SweepPoint, index: usize) -> PointResolution {
-        if self.lease.as_ref().is_some_and(|l| !l.contains(&index)) {
-            return PointResolution {
-                outcome: Outcome::Infeasible,
-                retries: 0,
-                replayed: false,
-                skipped: true,
-            };
-        }
         let ctx = self.ctx;
         let _span = ucore_obs::span!("engine.node_point", self.sweep_seq, index);
         let fingerprint = ctx.has_journal().then(|| journal::point_fingerprint(point));
@@ -489,7 +456,6 @@ impl SweepRun<'_> {
                         outcome: rec.outcome.clone(),
                         retries: rec.retries,
                         replayed: true,
-                        skipped: false,
                     }
                 }
                 ReplayLookup::Stale => obs::metrics().journal_stale.inc(),
@@ -531,7 +497,7 @@ impl SweepRun<'_> {
                 });
             }
         }
-        PointResolution { outcome, retries: attempt, replayed: false, skipped: false }
+        PointResolution { outcome, retries: attempt, replayed: false }
     }
 
     /// Evaluates one point inside a panic boundary, applying any
